@@ -7,14 +7,14 @@ agree?" into calibrated p-values. On top sit repeated-trial harnesses, an
 energy model, and EPEff sweeps for choosing sampler configurations.
 """
 
+from .chains import BernoulliKernel, IdealKernel, run_chain
 from .crossmatch import CrossmatchOutcome, crossmatch_test, null_pmf, p_value
 from .harness import (EnergyModel, EpeffReport, PValueStats, SamplerSpec, TrialPlan,
                       epeff, leak_density_sweep, parameter_sweep, run_trials)
-from .neuro import (AnalogConfig, DigitalSamplerConfig, ResourceEstimate,
-                    digital_spike_prob_exact, resource_estimate, run_analog_chain,
-                    run_digital_chain)
+from .neuro import (AnalogConfig, AnalogKernel, DigitalKernel, DigitalSamplerConfig,
+                    ResourceEstimate, digital_spike_prob_exact, resource_estimate)
 from .rbm import (ChainSettings, GibbsState, RbmModel, SampleBatch, TrainConfig,
                   cd1_train, energy, exact_visible_marginal, gibbs_step,
-                  log_partition_exact, random_model, run_chain)
+                  log_partition_exact, random_model)
 
 __version__ = "0.1.0"

@@ -1,9 +1,9 @@
 """Batched Gibbs-chain execution with per-chain random streams.
 
-All chain runners (ideal, digital, analog) share one engine. Each chain owns
-three derived Philox streams -- init, uniform draws, Gaussian draws -- so a
-batch of chains produces bit-identical output to running the same chains one
-at a time, in any order. Kernels declare how many uniforms/normals one full
+Every sample source (ideal, digital, analog, bernoulli) is a kernel run by
+one engine. Each chain owns three derived Philox streams -- init, uniform
+draws, Gaussian draws -- so a batch of chains produces bit-identical output
+to running the same chains one at a time, in any order. Kernels declare how many uniforms/normals one full
 Gibbs step consumes per chain; the engine pre-draws them in chunks (chunking
 does not move any stream, numpy generators fill arrays sequentially).
 """
@@ -15,10 +15,10 @@ from typing import Protocol, Sequence
 import numpy as np
 from scipy.special import expit
 
-from .rbm import ChainSettings, RbmModel
+from .rbm import ChainSettings, RbmModel, SampleBatch
 from .rng import derive_rng
 
-__all__ = ["GibbsKernel", "IdealKernel", "run_chains"]
+__all__ = ["GibbsKernel", "IdealKernel", "BernoulliKernel", "run_chains", "run_chain"]
 
 # Sub-stream tags appended to a chain's path.
 _INIT, _UNIFORM, _NORMAL = 0, 1, 2
@@ -27,6 +27,7 @@ _CHUNK_TARGET_BYTES = 32 << 20
 
 
 class GibbsKernel(Protocol):
+    label: str
     n_visible: int
     n_uniforms_per_step: int
     n_normals_per_step: int
@@ -38,6 +39,8 @@ class GibbsKernel(Protocol):
 
 class IdealKernel:
     """Sigmoid block update: resample h from v, then v from h (the software benchmark)."""
+
+    label = "ideal"
 
     def __init__(self, model: RbmModel):
         self.model = model
@@ -52,6 +55,33 @@ class IdealKernel:
         h = (u[:, :nh] < ph).astype(np.float64)
         pv = expit(h @ m.W.T + m.b_v)
         return (u[:, nh:] < pv).astype(np.float64)
+
+
+class BernoulliKernel:
+    """Model-free product-Bernoulli(rate)^n_bits source; ignores the state.
+
+    A calibration/power reference. Run on its schedule(), sample i of the
+    chain at path p is derive_rng(seed, *p, 1).random((n, n_bits))[i] < rate.
+    """
+
+    n_normals_per_step = 0
+
+    def __init__(self, rate: float, n_bits: int):
+        if not 0.0 <= rate <= 1.0:
+            raise ValueError(f"rate must be in [0, 1], got {rate}")
+        if n_bits < 1:
+            raise ValueError(f"n_bits must be >= 1, got {n_bits}")
+        self.rate = rate
+        self.n_visible = self.n_uniforms_per_step = n_bits
+        self.label = f"bernoulli(rate={rate:g},bits={n_bits})"
+
+    @staticmethod
+    def schedule(n_samples: int) -> ChainSettings:
+        """No burn-in, every step recorded: the draws are independent anyway."""
+        return ChainSettings(n_samples=n_samples, burn_in=0, thin=1)
+
+    def step(self, v, u, z):
+        return (u < self.rate).astype(np.float64)
 
 
 def _initial_states(settings: ChainSettings, n_visible: int, seed: int,
@@ -106,3 +136,9 @@ def run_chains(kernel: GibbsKernel, settings: ChainSettings, seed: int,
                 out[:, recorded] = v
                 recorded += 1
     return out
+
+
+def run_chain(kernel: GibbsKernel, settings: ChainSettings, seed: int) -> SampleBatch:
+    """Run one chain on streams (seed, tag) and collect its thinned visible samples."""
+    samples = run_chains(kernel, settings, seed, [()])[0]
+    return SampleBatch(samples=samples, sampler_id=kernel.label, seed=seed, settings=settings)

@@ -25,17 +25,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .formats import (ModelFormatError, load_idx_images, load_model, load_samples,
-                      save_model, save_samples, synth_dataset)
+from .chains import BernoulliKernel, IdealKernel, run_chain
+from .formats import (load_idx_images, load_model, load_samples, save_model,
+                      save_samples, synth_dataset)
 from .harness import (HISTOGRAM_EDGES, EnergyModel, SamplerSpec, TrialPlan,
                       leak_density_sweep, parameter_sweep, run_trials)
-from .neuro import (PRESET_CONFIGS, AnalogConfig, DigitalSamplerConfig,
-                    run_analog_chain, run_digital_chain)
-from .rbm import (ChainSettings, RbmModel, SampleBatch, TrainConfig, cd1_train,
-                  random_model, run_chain)
+from .neuro import (PRESET_CONFIGS, AnalogConfig, AnalogKernel, DigitalKernel,
+                    DigitalSamplerConfig)
+from .rbm import ChainSettings, RbmModel, TrainConfig, cd1_train, random_model
 from .reports import (histogram_csv, outcome_json, stats_json, svg_bar_chart,
                       svg_line_chart, sweep_csv)
-from .rng import derive_rng
 
 __all__ = ["main", "load_run_config", "ConfigError"]
 
@@ -96,14 +95,13 @@ def _check_keys(obj, allowed, where: str) -> None:
         raise ConfigError(f"unknown key(s) {unknown} in {where}")
 
 
-def _check_kinded(obj, tables, where: str) -> str:
+def _check_kinded(obj, tables, where: str) -> None:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError(f"{where} must be an object with a 'kind' key")
     kind = obj["kind"]
     if kind not in tables:
         raise ConfigError(f"{where}.kind must be one of {sorted(tables)}, got {kind!r}")
     _check_keys(obj, tables[kind], where)
-    return kind
 
 
 def validate_run_config(user: dict) -> None:
@@ -154,12 +152,12 @@ def _model_from_config(cfg: dict, seed: int) -> RbmModel:
         return load_model(spec["path"])
     if spec["kind"] == "train":
         data = _dataset_from_config(cfg, seed)
-        hyper = TrainConfig(epochs=spec.get("epochs", 20),
-                            learning_rate=spec.get("learning_rate", 0.1),
-                            batch_size=spec.get("batch_size", 32),
-                            init_sigma=spec.get("init_sigma", 0.01))
-        return cd1_train(data, data.shape[1], spec["n_hidden"], hyper, seed)
+        return cd1_train(data, data.shape[1], spec["n_hidden"], _train_config(spec), seed)
     raise ConfigError(f"model kind {spec['kind']!r} not usable here")
+
+
+def _train_config(spec: dict) -> TrainConfig:
+    return TrainConfig(**{k: v for k, v in spec.items() if k not in ("kind", "n_hidden")})
 
 
 def _dataset_from_config(cfg: dict, seed: int) -> np.ndarray:
@@ -184,27 +182,35 @@ def _digital_from(spec: dict) -> DigitalSamplerConfig:
         random_groups=spec.get("random_groups", False))
 
 
-def _analog_from(spec: dict) -> AnalogConfig:
-    fields = {k: v for k, v in spec.items() if k != "kind"}
-    return AnalogConfig(**fields)
+def _sampler_from_config(cfg: dict, seed: int, n_samples: int) -> SamplerSpec:
+    """sampler_a as a chain kernel and its schedule: the one place a kind becomes a kernel.
 
-
-def _sampler_from_config(spec: dict, model: RbmModel,
-                         settings: ChainSettings) -> SamplerSpec:
+    A bernoulli source builds no model and runs on its own schedule.
+    """
+    spec = cfg["sampler_a"]
     kind = spec["kind"]
+    if kind == "bernoulli":
+        kernel = BernoulliKernel(spec["rate"], spec["n_bits"])
+        return SamplerSpec(kernel, kernel.schedule(n_samples))
+    model = _model_from_config(cfg, seed)
     if kind == "ideal":
-        return SamplerSpec.ideal(model, settings)
-    if kind == "digital":
-        return SamplerSpec.digital(model, settings, _digital_from(spec))
-    if kind == "analog":
-        return SamplerSpec.analog(model, settings, _analog_from(spec))
-    return SamplerSpec.bernoulli(spec["rate"], spec["n_bits"])
+        kernel = IdealKernel(model)
+    elif kind == "digital":
+        kernel = DigitalKernel(model, _digital_from(spec), seed)
+    else:
+        kernel = AnalogKernel(model, AnalogConfig(**{k: v for k, v in spec.items()
+                                                     if k != "kind"}))
+    return SamplerSpec(kernel, _settings_from_config(cfg, n_samples))
+
+
+def _leak_base_from_config(cfg: dict) -> DigitalSamplerConfig:
+    """The leak sweep's digital config: sampler_b's when digital, else preset G2."""
+    spec = cfg["sampler_b"]
+    return _digital_from(spec) if spec["kind"] == "digital" else dict(PRESET_CONFIGS)["G2"]
 
 
 def _energy_from_config(cfg: dict) -> EnergyModel:
-    e = cfg["energy"]
-    return EnergyModel(e_active=e["e_active"], e_core_static=e["e_core_static"],
-                       core_size=e["core_size"])
+    return EnergyModel(**cfg["energy"])
 
 
 def _trial_fields(cfg: dict, args) -> tuple[int, int, str]:
@@ -242,10 +248,7 @@ def cmd_train(args) -> int:
     out = _out_dir(cfg, args)
     data = _dataset_from_config(cfg, args.seed)
     spec = cfg["model"]
-    hyper = TrainConfig(epochs=spec.get("epochs", 20),
-                        learning_rate=spec.get("learning_rate", 0.1),
-                        batch_size=spec.get("batch_size", 32),
-                        init_sigma=spec.get("init_sigma", 0.01))
+    hyper = _train_config(spec)
     model, history = cd1_train(data, data.shape[1], spec["n_hidden"], hyper,
                                args.seed, return_history=True)
     path = out / "model.txt"
@@ -259,24 +262,9 @@ def cmd_sample(args) -> int:
     cfg = load_run_config(args.config)
     out = _out_dir(cfg, args)
     _, n_per_trial, _ = _trial_fields(cfg, args)
-    spec = cfg["sampler_a"]
-    settings = _settings_from_config(cfg, n_per_trial)
-    if spec["kind"] == "bernoulli":
-        bits = (derive_rng(args.seed, 0xBE).random((n_per_trial, spec["n_bits"]))
-                < spec["rate"]).astype(np.uint8)
-        batch = SampleBatch(samples=bits,
-                            sampler_id=f"bernoulli(rate={spec['rate']:g},bits={spec['n_bits']})",
-                            seed=args.seed, settings=settings)
-    else:
-        model = _model_from_config(cfg, args.seed)
-        if spec["kind"] == "ideal":
-            batch = run_chain(model, settings, args.seed)
-        elif spec["kind"] == "digital":
-            batch = run_digital_chain(model, settings, _digital_from(spec), args.seed)
-        else:
-            batch = run_analog_chain(model, settings, _analog_from(spec), args.seed)
+    spec = _sampler_from_config(cfg, args.seed, n_per_trial)
     path = out / "samples.txt"
-    save_samples(batch, path)
+    save_samples(run_chain(spec.kernel, spec.settings, args.seed), path)
     print(str(path))
     return 0
 
@@ -285,8 +273,7 @@ def cmd_test(args) -> int:
     from .crossmatch import crossmatch_test
     x = load_samples(args.samples_a)
     y = load_samples(args.samples_b)
-    method = args.matching if args.matching is not None else "auto"
-    outcome = crossmatch_test(x, y, method=method, tie_seed=args.seed)
+    outcome = crossmatch_test(x, y, method=args.matching or "auto", tie_seed=args.seed)
     doc = outcome_json(outcome)
     sys.stdout.write(doc)
     if args.out is not None:
@@ -329,10 +316,7 @@ def cmd_sweep_leak(args) -> int:
     model = _model_from_config(cfg, args.seed)
     settings = _settings_from_config(cfg, n_per_trial)
     densities = cfg["sweep"].get("densities") or list(DEFAULT_DENSITIES)
-    if cfg["sampler_b"]["kind"] == "digital":
-        base = _digital_from(cfg["sampler_b"])
-    else:
-        base = dict(PRESET_CONFIGS)["G2"]
+    base = _leak_base_from_config(cfg)
     _announce("sweep-leak", densities=list(densities), num_trials=num_trials,
               n_per_trial=n_per_trial)
     reports = leak_density_sweep(model, base, densities, settings,
@@ -354,9 +338,7 @@ def cmd_null_check(args) -> int:
     cfg = load_run_config(args.config)
     out = _out_dir(cfg, args)
     num_trials, n_per_trial, matching = _trial_fields(cfg, args)
-    model = _model_from_config(cfg, args.seed)
-    settings = _settings_from_config(cfg, n_per_trial)
-    spec = _sampler_from_config(cfg["sampler_a"], model, settings)
+    spec = _sampler_from_config(cfg, args.seed, n_per_trial)
     plan = TrialPlan(sampler_a=spec, sampler_b=spec, n_per_trial=n_per_trial,
                      num_trials=num_trials, base_seed=args.seed, matching=matching)
     _announce("null-check", num_trials=num_trials, n_per_trial=n_per_trial,
@@ -426,11 +408,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ModelFormatError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, MemoryError) as exc:
+        # ConfigError and ModelFormatError are ValueErrors; a MemoryError
+        # means an input too large to process.
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 2

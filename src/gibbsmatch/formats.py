@@ -74,6 +74,25 @@ class _LineReader:
                 f"{self.path}: non-ASCII {what} at byte {start}: {exc}") from None
 
 
+def _read_header(reader: _LineReader, magic: str, what: str) -> tuple[int, int, int]:
+    """Parse "<magic> <a> <b>" with positive integers a, b; returns (a, b, byte offset)."""
+    header, off = reader.next_line("header")
+    parts, path = header.split(), reader.path
+    if not parts or not parts[0].startswith(magic.rstrip("0123456789")):
+        raise ModelFormatError(f"{path}: not a {what} (bad magic at byte {off})")
+    if parts[0] != magic:
+        raise ModelFormatError(f"{path}: unsupported {what} version {parts[0]!r}")
+    if len(parts) != 3:
+        raise ModelFormatError(f"{path}: malformed header at byte {off}")
+    try:
+        a, b = int(parts[1]), int(parts[2])
+    except ValueError:
+        raise ModelFormatError(f"{path}: malformed header dimensions at byte {off}") from None
+    if a < 1 or b < 1:
+        raise ModelFormatError(f"{path}: non-positive dimensions in header at byte {off}")
+    return a, b, off
+
+
 def _fmt_row(values) -> str:
     return " ".join(repr(float(x)) for x in values)
 
@@ -102,20 +121,7 @@ def save_model(model: RbmModel, path) -> None:
 
 def load_model(path) -> RbmModel:
     reader = _LineReader(Path(path).read_bytes(), path)
-    header, off = reader.next_line("header")
-    parts = header.split()
-    if not parts or not parts[0].startswith("GMRBM"):
-        raise ModelFormatError(f"{path}: not a model file (bad magic at byte {off})")
-    if parts[0] != MODEL_MAGIC:
-        raise ModelFormatError(f"{path}: unsupported model format version {parts[0]!r}")
-    if len(parts) != 3:
-        raise ModelFormatError(f"{path}: malformed header at byte {off}")
-    try:
-        n_visible, n_hidden = int(parts[1]), int(parts[2])
-    except ValueError:
-        raise ModelFormatError(f"{path}: malformed header dimensions at byte {off}") from None
-    if n_visible < 1 or n_hidden < 1:
-        raise ModelFormatError(f"{path}: non-positive dimensions in header at byte {off}")
+    n_visible, n_hidden, _ = _read_header(reader, MODEL_MAGIC, "model file")
     w_rows = []
     for i in range(n_visible):
         line, off = reader.next_line(f"weight row {i}")
@@ -146,20 +152,24 @@ def save_samples(batch: SampleBatch, path) -> None:
 
 def load_samples(path) -> SampleBatch:
     reader = _LineReader(Path(path).read_bytes(), path)
-    header, off = reader.next_line("header")
-    parts = header.split()
-    if not parts or not parts[0].startswith("GMSAMP"):
-        raise ModelFormatError(f"{path}: not a sample dump (bad magic at byte {off})")
-    if parts[0] != SAMPLES_MAGIC:
-        raise ModelFormatError(f"{path}: unsupported sample format version {parts[0]!r}")
-    if len(parts) != 3:
-        raise ModelFormatError(f"{path}: malformed header at byte {off}")
-    n, r = int(parts[1]), int(parts[2])
+    n, r, header_off = _read_header(reader, SAMPLES_MAGIC, "sample dump")
     meta_line, off = reader.next_line("metadata")
     try:
         meta = json.loads(meta_line)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"{path}: bad metadata JSON at byte {off}: {exc}") from None
+        s = meta["settings"]
+        vec = s.get("init_vector")
+        settings = ChainSettings(
+            n_samples=s["n_samples"], burn_in=s["burn_in"], thin=s["thin"], init=s["init"],
+            init_vector=None if vec is None else np.array(vec, dtype=np.uint8))
+        sampler_id, seed = meta["sampler_id"], meta["seed"]
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ModelFormatError(f"{path}: bad metadata at byte {off}: {exc!r}") from None
+    # Every row is r bits and a newline (optional after the last one).
+    room = len(reader.data) - reader.offset
+    if room < n * (r + 1) - 1:
+        raise ModelFormatError(
+            f"{path}: header at byte {header_off} declares {n} rows of {r} bits, "
+            f"but only {max(room, 0)} bytes follow the metadata")
     rows = np.empty((n, r), dtype=np.uint8)
     for i in range(n):
         line, off = reader.next_line(f"sample row {i}")
@@ -167,13 +177,7 @@ def load_samples(path) -> SampleBatch:
             raise ModelFormatError(
                 f"{path}: sample row {i} at byte {off} is not a {r}-bit string")
         rows[i] = np.frombuffer(line.encode("ascii"), dtype=np.uint8) - ord("0")
-    s = meta.get("settings", {})
-    vec = s.get("init_vector")
-    settings = ChainSettings(
-        n_samples=s["n_samples"], burn_in=s["burn_in"], thin=s["thin"], init=s["init"],
-        init_vector=None if vec is None else np.array(vec, dtype=np.uint8))
-    return SampleBatch(samples=rows, sampler_id=meta["sampler_id"],
-                       seed=meta["seed"], settings=settings)
+    return SampleBatch(samples=rows, sampler_id=sampler_id, seed=seed, settings=settings)
 
 
 def load_idx_images(path, threshold: float = 0.5) -> np.ndarray:

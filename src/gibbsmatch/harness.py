@@ -15,17 +15,16 @@ meaningful, not the absolute numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .chains import IdealKernel, run_chains
+from .chains import GibbsKernel, IdealKernel, run_chains
 from .crossmatch import crossmatch_test
-from .neuro import (AnalogConfig, AnalogKernel, DigitalKernel, DigitalSamplerConfig,
-                    ResourceEstimate, _group_perms, resource_estimate)
+from .neuro import DigitalKernel, DigitalSamplerConfig, ResourceEstimate, resource_estimate
 from .rbm import ChainSettings, RbmModel
-from .rng import derive_rng, seed_sequence
+from .rng import seed_sequence
 
 __all__ = [
     "SamplerSpec",
@@ -49,63 +48,16 @@ HISTOGRAM_EDGES = np.round(np.arange(0.0, 1.0001, 0.05), 10)
 
 @dataclass(frozen=True)
 class SamplerSpec:
-    """One side of a trial plan: which sampler, on which model, how driven.
+    """One side of a trial plan: a chain kernel and the schedule it runs on.
 
-    kind "bernoulli" is a model-free product-Bernoulli(rate)^n_bits source,
-    useful as a calibration/power reference.
+    run_trials replaces settings.n_samples with the plan's n_per_trial.
     """
 
-    kind: str
-    model: RbmModel | None = None
-    settings: ChainSettings | None = None
-    digital_cfg: DigitalSamplerConfig | None = None
-    analog_cfg: AnalogConfig | None = None
-    rate: float | None = None
-    n_bits: int | None = None
-
-    def __post_init__(self):
-        if self.kind in ("ideal", "digital", "analog"):
-            if self.model is None or self.settings is None:
-                raise ValueError(f"{self.kind} sampler needs a model and chain settings")
-            if self.kind == "digital" and self.digital_cfg is None:
-                raise ValueError("digital sampler needs a DigitalSamplerConfig")
-            if self.kind == "analog" and self.analog_cfg is None:
-                raise ValueError("analog sampler needs an AnalogConfig")
-        elif self.kind == "bernoulli":
-            if self.rate is None or self.n_bits is None:
-                raise ValueError("bernoulli source needs rate and n_bits")
-            if not 0.0 <= self.rate <= 1.0:
-                raise ValueError(f"rate must be in [0, 1], got {self.rate}")
-            if self.n_bits < 1:
-                raise ValueError(f"n_bits must be >= 1, got {self.n_bits}")
-        else:
-            raise ValueError(f"unknown sampler kind: {self.kind!r}")
-
-    @staticmethod
-    def ideal(model: RbmModel, settings: ChainSettings) -> "SamplerSpec":
-        return SamplerSpec(kind="ideal", model=model, settings=settings)
-
-    @staticmethod
-    def digital(model: RbmModel, settings: ChainSettings,
-                cfg: DigitalSamplerConfig) -> "SamplerSpec":
-        return SamplerSpec(kind="digital", model=model, settings=settings, digital_cfg=cfg)
-
-    @staticmethod
-    def analog(model: RbmModel, settings: ChainSettings, cfg: AnalogConfig) -> "SamplerSpec":
-        return SamplerSpec(kind="analog", model=model, settings=settings, analog_cfg=cfg)
-
-    @staticmethod
-    def bernoulli(rate: float, n_bits: int) -> "SamplerSpec":
-        return SamplerSpec(kind="bernoulli", rate=rate, n_bits=n_bits)
+    kernel: GibbsKernel
+    settings: ChainSettings
 
     def label(self) -> str:
-        if self.kind == "ideal":
-            return "ideal"
-        if self.kind == "digital":
-            return self.digital_cfg.label()
-        if self.kind == "analog":
-            return self.analog_cfg.label()
-        return f"bernoulli(rate={self.rate:g},bits={self.n_bits})"
+        return self.kernel.label
 
 
 @dataclass(frozen=True)
@@ -186,28 +138,11 @@ def pvalue_stats(p_values) -> PValueStats:
                        ks_vs_uniform=max(d_plus, d_minus, 0.0), d_plus=max(d_plus, 0.0))
 
 
-def _side_kernel(spec: SamplerSpec, base_seed: int):
-    if spec.kind == "ideal":
-        return IdealKernel(spec.model)
-    if spec.kind == "digital":
-        return DigitalKernel(spec.model, spec.digital_cfg,
-                             *_group_perms(spec.model, spec.digital_cfg, base_seed))
-    if spec.kind == "analog":
-        return AnalogKernel(spec.model, spec.analog_cfg)
-    return None  # bernoulli: sampled directly, no chain
-
-
-def _side_samples(spec: SamplerSpec, kernel, plan: TrialPlan, side: int,
+def _side_samples(spec: SamplerSpec, plan: TrialPlan, side: int,
                   trials: Sequence[int]) -> np.ndarray:
-    if spec.kind == "bernoulli":
-        out = np.empty((len(trials), plan.n_per_trial, spec.n_bits), dtype=np.uint8)
-        for row, trial in enumerate(trials):
-            u = derive_rng(plan.base_seed, trial, side, 1).random((plan.n_per_trial, spec.n_bits))
-            out[row] = u < spec.rate
-        return out
     settings = replace(spec.settings, n_samples=plan.n_per_trial)
     paths = [(trial, side) for trial in trials]
-    return run_chains(kernel, settings, plan.base_seed, paths)
+    return run_chains(spec.kernel, settings, plan.base_seed, paths)
 
 
 def tie_seed_for_trial(base_seed: int, trial: int) -> int:
@@ -223,13 +158,11 @@ def run_trials(plan: TrialPlan, block_size: int = 64) -> PValueStats:
     stream; block_size only batches chain execution and never changes any
     result.
     """
-    kernel_a = _side_kernel(plan.sampler_a, plan.base_seed)
-    kernel_b = _side_kernel(plan.sampler_b, plan.base_seed)
     p_values = np.empty(plan.num_trials)
     for start in range(0, plan.num_trials, block_size):
         trials = range(start, min(start + block_size, plan.num_trials))
-        xs = _side_samples(plan.sampler_a, kernel_a, plan, 0, trials)
-        ys = _side_samples(plan.sampler_b, kernel_b, plan, 1, trials)
+        xs = _side_samples(plan.sampler_a, plan, 0, trials)
+        ys = _side_samples(plan.sampler_b, plan, 1, trials)
         for row, trial in enumerate(trials):
             outcome = crossmatch_test(xs[row], ys[row], method=plan.matching,
                                       tie_seed=tie_seed_for_trial(plan.base_seed, trial))
@@ -262,7 +195,7 @@ def _digital_report(model: RbmModel, label: str, cfg: DigitalSamplerConfig,
                     base_seed: int, em: EnergyModel, matching: str,
                     reference: SamplerSpec) -> EpeffReport:
     plan = TrialPlan(sampler_a=reference,
-                     sampler_b=SamplerSpec.digital(model, settings, cfg),
+                     sampler_b=SamplerSpec(DigitalKernel(model, cfg, base_seed), settings),
                      n_per_trial=n_per_trial, num_trials=num_trials,
                      base_seed=base_seed, matching=matching)
     stats = run_trials(plan)
@@ -284,7 +217,7 @@ def parameter_sweep(model: RbmModel, labeled_configs, settings: ChainSettings,
     """
     if not labeled_configs:
         raise ValueError("no sampler configs to sweep")
-    reference = SamplerSpec.ideal(model, settings)
+    reference = SamplerSpec(IdealKernel(model), settings)
     reports = [
         _digital_report(model, label, cfg, settings, n_per_trial, num_trials,
                         base_seed, energy_model, matching, reference)
@@ -306,8 +239,8 @@ def leak_density_sweep(model: RbmModel, cfg: DigitalSamplerConfig, densities,
     densities = list(densities)
     if not densities:
         raise ValueError("no leak densities to sweep")
-    base = replace(cfg, leak_density=1)
-    reference = SamplerSpec.digital(model, settings, base)
+    reference = SamplerSpec(DigitalKernel(model, replace(cfg, leak_density=1), base_seed),
+                            settings)
     return [
         _digital_report(model, f"ld={d}", replace(cfg, leak_density=d), settings,
                         n_per_trial, num_trials, base_seed, energy_model, matching,

@@ -21,13 +21,11 @@ likewise be shared across `noise_density`-sized unit groups.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import run_chains
-from .rbm import ChainSettings, GibbsState, RbmModel, SampleBatch
+from .rbm import GibbsState, RbmModel
 from .rng import derive_rng
 
 __all__ = [
@@ -39,9 +37,7 @@ __all__ = [
     "digital_neuron_sample",
     "digital_spike_prob_exact",
     "digital_gibbs_step",
-    "run_digital_chain",
     "analog_lif_sample",
-    "run_analog_chain",
     "resource_estimate",
     "DigitalKernel",
     "AnalogKernel",
@@ -279,15 +275,23 @@ def digital_spike_prob_exact(v_initial: float, cfg: DigitalSamplerConfig) -> flo
 
 
 class DigitalKernel:
-    """Block Gibbs update where every unit is sampled by the digital neuron."""
+    """Block Gibbs update where every unit is sampled by the digital neuron.
 
-    def __init__(self, model: RbmModel, cfg: DigitalSamplerConfig,
-                 hidden_perm: np.ndarray | None = None,
-                 visible_perm: np.ndarray | None = None):
+    With cfg.random_groups, the leak groups block a permutation of each layer
+    drawn from (seed, 0xD0, 0) for the hidden and (seed, 0xD0, 1) for the
+    visible layer: one fixed crossbar wiring per run. Otherwise seed is unused.
+    """
+
+    def __init__(self, model: RbmModel, cfg: DigitalSamplerConfig, seed: int):
         self.model = model
         self.cfg = cfg
+        self.label = cfg.label()
         self.n_visible = model.n_visible
         nh, nv, w = model.n_hidden, model.n_visible, cfg.window
+        hidden_perm = visible_perm = None
+        if cfg.random_groups:
+            hidden_perm = derive_rng(seed, 0xD0, 0).permutation(nh)
+            visible_perm = derive_rng(seed, 0xD0, 1).permutation(nv)
         self._g_h = _consecutive_groups(nh, cfg.leak_density, hidden_perm)
         self._g_v = _consecutive_groups(nv, cfg.leak_density, visible_perm)
         self._ng_h = int(self._g_h.max()) + 1
@@ -314,14 +318,6 @@ class DigitalKernel:
         return self._update_layer(net_v, u[:, c[1]:c[2]], u[:, c[2]:c[3]], self._g_v, self._ng_v)
 
 
-def _group_perms(model: RbmModel, cfg: DigitalSamplerConfig, seed: int):
-    if not cfg.random_groups:
-        return None, None
-    # One wiring per run: the permutation models a fixed crossbar layout.
-    return (derive_rng(seed, 0xD0, 0).permutation(model.n_hidden),
-            derive_rng(seed, 0xD0, 1).permutation(model.n_visible))
-
-
 def digital_gibbs_step(model: RbmModel, state: GibbsState, cfg: DigitalSamplerConfig,
                        rng: np.random.Generator,
                        hidden_perm: np.ndarray | None = None,
@@ -334,26 +330,18 @@ def digital_gibbs_step(model: RbmModel, state: GibbsState, cfg: DigitalSamplerCo
     """
     if not state.matches(model):
         raise ValueError("state dimensions do not match model")
-    kernel = DigitalKernel(model, cfg, hidden_perm, visible_perm)
     w = cfg.window
-    net_h = state.v.astype(np.float64) @ model.W + model.b_h
-    u_leak = rng.random((1, w * kernel._ng_h))
-    u_thresh = rng.random((1, w * model.n_hidden))
-    h = kernel._update_layer(net_h[None, :], u_leak, u_thresh, kernel._g_h, kernel._ng_h)
-    net_v = h @ model.W.T + model.b_v
-    u_leak = rng.random((1, w * kernel._ng_v))
-    u_thresh = rng.random((1, w * model.n_visible))
-    v = kernel._update_layer(net_v, u_leak, u_thresh, kernel._g_v, kernel._ng_v)
+
+    def layer(net, perm):
+        groups = _consecutive_groups(net.shape[-1], cfg.leak_density, perm)
+        u_leak = rng.random((1, w, int(groups.max()) + 1))
+        u_thresh = rng.random((1, w, net.shape[-1]))
+        return _window_spikes(cfg.scale * net, cfg, u_leak, u_thresh,
+                              groups).astype(np.float64)
+
+    h = layer((state.v.astype(np.float64) @ model.W + model.b_h)[None, :], hidden_perm)
+    v = layer(h @ model.W.T + model.b_v, visible_perm)
     return GibbsState(v=v[0].astype(np.uint8), h=h[0].astype(np.uint8))
-
-
-def run_digital_chain(model: RbmModel, settings: ChainSettings, cfg: DigitalSamplerConfig,
-                      seed: int, sampler_id: str | None = None) -> SampleBatch:
-    """Run one digital-sampler chain and collect its thinned visible samples."""
-    kernel = DigitalKernel(model, cfg, *_group_perms(model, cfg, seed))
-    samples = run_chains(kernel, settings, seed, [()])[0]
-    return SampleBatch(samples=samples, sampler_id=sampler_id or cfg.label(),
-                       seed=seed, settings=settings)
 
 
 def _lif_window(currents: np.ndarray, cfg: AnalogConfig, z: np.ndarray,
@@ -399,6 +387,7 @@ class AnalogKernel:
     def __init__(self, model: RbmModel, cfg: AnalogConfig):
         self.model = model
         self.cfg = cfg
+        self.label = cfg.label()
         self.n_visible = model.n_visible
         self._g_h = _consecutive_groups(model.n_hidden, cfg.noise_density, None)
         self._g_v = _consecutive_groups(model.n_visible, cfg.noise_density, None)
@@ -418,14 +407,6 @@ class AnalogKernel:
         net_v = h @ m.W.T + m.b_v
         z_v = z[:, cut:].reshape(-1, w, self._ng_v)
         return _lif_window(net_v, self.cfg, z_v, self._g_v).astype(np.float64)
-
-
-def run_analog_chain(model: RbmModel, settings: ChainSettings, cfg: AnalogConfig,
-                     seed: int, sampler_id: str | None = None) -> SampleBatch:
-    """Run one analog-sampler chain and collect its thinned visible samples."""
-    samples = run_chains(AnalogKernel(model, cfg), settings, seed, [()])[0]
-    return SampleBatch(samples=samples, sampler_id=sampler_id or cfg.label(),
-                       seed=seed, settings=settings)
 
 
 PRESET_CONFIGS = _presets()

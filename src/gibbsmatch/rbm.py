@@ -1,4 +1,4 @@
-"""Binary RBM model, exact desk-scale oracles, and the ideal software Gibbs sampler.
+"""Binary RBM model, exact desk-scale oracles, and the reference ideal Gibbs step.
 
 The model assigns each joint state (v, h) the energy
 
@@ -12,7 +12,7 @@ correctness oracle for samplers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -35,7 +35,6 @@ __all__ = [
     "hidden_activation_probs",
     "visible_activation_probs",
     "gibbs_step",
-    "run_chain",
     "cd1_train",
     "enumerate_states",
     "state_index",
@@ -295,15 +294,6 @@ def gibbs_step(model: RbmModel, state: GibbsState, rng: np.random.Generator) -> 
     pv = visible_activation_probs(model, h)
     v = (rng.random(model.n_visible) < pv).astype(np.uint8)
     return GibbsState(v=v, h=h)
-
-
-def run_chain(model: RbmModel, settings: ChainSettings, seed: int,
-              sampler_id: str = "ideal") -> SampleBatch:
-    """Run one ideal-sampler chain and collect its thinned visible samples."""
-    from .chains import IdealKernel, run_chains
-
-    samples = run_chains(IdealKernel(model), settings, seed, [()])[0]
-    return SampleBatch(samples=samples, sampler_id=sampler_id, seed=seed, settings=settings)
 
 
 @dataclass(frozen=True)

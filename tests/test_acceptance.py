@@ -6,18 +6,21 @@ seeds so the whole gate is deterministic.
 """
 
 import json
+import os
 import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 
-from gibbsmatch.chains import IdealKernel, run_chains
+import gibbsmatch
+from gibbsmatch.chains import BernoulliKernel, IdealKernel, run_chains
 from gibbsmatch.cli import validate_run_config
 from gibbsmatch.crossmatch import DistanceMatrix, null_pmf, optimal_matching
 from gibbsmatch.harness import SamplerSpec, TrialPlan, leak_density_sweep, run_trials
-from gibbsmatch.neuro import (PRESET_CONFIGS, DigitalSamplerConfig,
+from gibbsmatch.neuro import (PRESET_CONFIGS, DigitalKernel, DigitalSamplerConfig,
                               digital_neuron_sample, digital_spike_prob_exact,
                               resource_estimate)
 from gibbsmatch.rbm import (ChainSettings, exact_visible_marginal, random_model,
@@ -90,7 +93,7 @@ def test_criterion_03_matching_optimality():
 
 def test_criterion_04_null_calibration():
     t0 = time.monotonic()
-    spec = SamplerSpec.ideal(DESK_MODEL, DESK_SETTINGS)
+    spec = SamplerSpec(IdealKernel(DESK_MODEL), DESK_SETTINGS)
     plan = TrialPlan(sampler_a=spec, sampler_b=spec, n_per_trial=50,
                      num_trials=2000, base_seed=42)
     stats = run_trials(plan)
@@ -103,8 +106,8 @@ def test_criterion_04_null_calibration():
 
 def test_criterion_05_power_on_separated_sources():
     t0 = time.monotonic()
-    plan = TrialPlan(sampler_a=SamplerSpec.bernoulli(0.2, 16),
-                     sampler_b=SamplerSpec.bernoulli(0.8, 16),
+    plan = TrialPlan(sampler_a=SamplerSpec(BernoulliKernel(0.2, 16), BernoulliKernel.schedule(50)),
+                     sampler_b=SamplerSpec(BernoulliKernel(0.8, 16), BernoulliKernel.schedule(50)),
                      n_per_trial=50, num_trials=200, base_seed=43)
     stats = run_trials(plan)
     dt = time.monotonic() - t0
@@ -147,17 +150,18 @@ def test_criterion_07_digital_neuron_fidelity():
 
 def test_criterion_08_sampler_discrimination():
     t0 = time.monotonic()
-    ideal = SamplerSpec.ideal(DESK_MODEL, DESK_SETTINGS)
+    ideal = SamplerSpec(IdealKernel(DESK_MODEL), DESK_SETTINGS)
     good_cfg = dict(PRESET_CONFIGS)["G4"]
     good = run_trials(TrialPlan(
-        sampler_a=ideal, sampler_b=SamplerSpec.digital(DESK_MODEL, DESK_SETTINGS, good_cfg),
+        sampler_a=ideal,
+        sampler_b=SamplerSpec(DigitalKernel(DESK_MODEL, good_cfg, 44), DESK_SETTINGS),
         n_per_trial=50, num_trials=200, base_seed=44))
     # single-tick sampler with no stochastic drive and an unreachable threshold
     degenerate_cfg = DigitalSamplerConfig(window=1, threshold=10_000, threshold_bits=8,
                                           leak=0, scale=50)
     degenerate = run_trials(TrialPlan(
         sampler_a=ideal,
-        sampler_b=SamplerSpec.digital(DESK_MODEL, DESK_SETTINGS, degenerate_cfg),
+        sampler_b=SamplerSpec(DigitalKernel(DESK_MODEL, degenerate_cfg, 44), DESK_SETTINGS),
         n_per_trial=50, num_trials=200, base_seed=44))
     dt = time.monotonic() - t0
     ok = good.mean_p > 0.2 and degenerate.mean_p < 0.01
@@ -209,10 +213,16 @@ def test_criterion_11_paper_scale_config_starts(tmp_path):
     cfg_path = tmp_path / "big.json"
     cfg_path.write_text(json.dumps(big))
 
+    # The child runs in tmp_path, so a relative PYTHONPATH would not resolve:
+    # point it at the source root of the package this test imported.
+    src_root = str(Path(gibbsmatch.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src_root,
+                                                       os.environ.get("PYTHONPATH")]))}
     proc = subprocess.Popen(
         [sys.executable, "-m", "gibbsmatch.cli", "null-check",
          "--config", str(cfg_path), "--seed", "1"],
-        cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     try:
         event_line = []
         reader = threading.Thread(target=lambda: event_line.append(proc.stderr.readline()))

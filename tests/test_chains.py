@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gibbsmatch.chains import IdealKernel, run_chains
+from gibbsmatch.chains import BernoulliKernel, IdealKernel, run_chain, run_chains
 from gibbsmatch.rbm import ChainSettings, random_model
 from gibbsmatch.rng import derive_rng
 
@@ -102,3 +102,35 @@ def test_given_vector_shape_checked():
                        init_vector=np.array([1, 0, 1], dtype=np.uint8))
     with pytest.raises(ValueError):
         run_chains(UniformOnlyKernel(), cs, 1, [()])
+
+
+def test_run_chain_records_kernel_label_and_provenance():
+    m = random_model(4, 2, 0.3, seed=1)
+    cs = ChainSettings(n_samples=5, burn_in=3, thin=2)
+    batch = run_chain(IdealKernel(m), cs, seed=6)
+    np.testing.assert_array_equal(batch.samples, run_chains(IdealKernel(m), cs, 6, [()])[0])
+    assert (batch.sampler_id, batch.seed, batch.settings) == ("ideal", 6, cs)
+
+
+# --- the bernoulli source -----------------------------------------------------------
+
+def test_bernoulli_kernel_matches_direct_draws():
+    """On its schedule, chain p records derive_rng(seed, *p, 1).random((n, bits)) < rate."""
+    kernel = BernoulliKernel(0.3, 5)
+    paths = [(0, 0), (4, 1)]
+    got = run_chains(kernel, kernel.schedule(150), 9, paths)  # spans several chunks
+    for c, path in enumerate(paths):
+        u = derive_rng(9, *path, 1).random((150, 5))
+        np.testing.assert_array_equal(got[c], u < 0.3)
+
+
+def test_bernoulli_kernel_validation():
+    with pytest.raises(ValueError):
+        BernoulliKernel(1.5, 4)
+    with pytest.raises(ValueError):
+        BernoulliKernel(-0.1, 4)
+    with pytest.raises(ValueError):
+        BernoulliKernel(0.5, 0)
+    k = BernoulliKernel(0.25, 3)
+    assert (k.n_visible, k.n_uniforms_per_step, k.n_normals_per_step) == (3, 3, 0)
+    assert k.label == "bernoulli(rate=0.25,bits=3)"

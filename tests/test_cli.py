@@ -11,6 +11,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from gibbsmatch import crossmatch
 from gibbsmatch.cli import ConfigError, load_run_config, main, validate_run_config
 from gibbsmatch.formats import load_samples
 from gibbsmatch.reports import parse_sweep_csv
@@ -275,3 +276,50 @@ def test_bad_model_file_exits_2(tmp_path, capsys):
     rc = main(["sample", "--seed", "1", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert stderr_events(capsys)[-1]["error"] == "ModelFormatError"
+
+
+META = {"sampler_id": "x", "seed": 0,
+        "settings": {"n_samples": 2, "burn_in": 0, "thin": 1, "init": "random-uniform"}}
+
+
+def dump_with(tmp_path, header, meta=META, rows="0101\n1100\n"):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"{header}\n{json.dumps(meta)}\n{rows}")
+    return str(path)
+
+
+def format_error_message(capsys, argv) -> str:
+    assert main(argv) == 2
+    err = stderr_events(capsys)[-1]
+    assert err["error"] == "ModelFormatError"
+    assert "at byte" in err["message"]
+    return err["message"]
+
+
+@pytest.mark.parametrize("header", [
+    "GMSAMP1 1000000000000 784",   # would need a 713 TiB array
+    "GMSAMP1 two 4",
+    "GMSAMP1 0 4",
+])
+def test_malformed_sample_header_exits_2(tmp_path, capsys, header):
+    bad = dump_with(tmp_path, header)
+    format_error_message(capsys, ["test", bad, bad, "--seed", "0"])
+
+
+@pytest.mark.parametrize("key", ["sampler_id", "seed", "settings"])
+def test_sample_metadata_missing_key_exits_2(tmp_path, capsys, key):
+    meta = {k: v for k, v in META.items() if k != key}
+    bad = dump_with(tmp_path, "GMSAMP1 2 4", meta=meta)
+    assert key in format_error_message(capsys, ["test", bad, bad, "--seed", "0"])
+
+
+def test_memory_error_exits_2(tmp_path, capsys, monkeypatch):
+    good = dump_with(tmp_path, "GMSAMP1 2 4")
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("distance matrix too large")
+
+    monkeypatch.setattr(crossmatch, "pairwise_distances", exhausted)
+    assert main(["test", good, good, "--seed", "0"]) == 2
+    assert stderr_events(capsys)[-1] == {"error": "MemoryError",
+                                         "message": "distance matrix too large"}

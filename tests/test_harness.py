@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
+from gibbsmatch import harness
+from gibbsmatch.chains import BernoulliKernel, IdealKernel
 from gibbsmatch.crossmatch import crossmatch_test
 from gibbsmatch.harness import (HISTOGRAM_EDGES, EnergyModel, EpeffReport,
                                 PValueStats, SamplerSpec, TrialPlan,
@@ -19,7 +21,7 @@ QUICK = ChainSettings(n_samples=8, burn_in=40, thin=2)
 
 def quick_plan(num_trials=4, **kw):
     model = random_model(6, 3, 0.4, seed=300)
-    spec = SamplerSpec.ideal(model, QUICK)
+    spec = SamplerSpec(IdealKernel(model), QUICK)
     defaults = dict(sampler_a=spec, sampler_b=spec, n_per_trial=8,
                     num_trials=num_trials, base_seed=1234)
     defaults.update(kw)
@@ -110,41 +112,40 @@ def test_sides_draw_distinct_streams():
     stats = run_trials(quick_plan(num_trials=2))
     assert (stats.p_values > 0).all()
     model = random_model(6, 3, 0.4, seed=300)
-    a = SamplerSpec.ideal(model, QUICK)
+    a = SamplerSpec(IdealKernel(model), QUICK)
     assert a.label() == "ideal"
 
 
-def test_bernoulli_source_stream_and_rate():
-    plan = quick_plan(sampler_a=SamplerSpec.bernoulli(0.2, 16),
-                      sampler_b=SamplerSpec.bernoulli(0.2, 16),
-                      n_per_trial=30, num_trials=2)
+def bernoulli_spec(rate, n_bits):
+    kernel = BernoulliKernel(rate, n_bits)
+    return SamplerSpec(kernel, kernel.schedule(1))
+
+
+def test_bernoulli_source_stream_and_rate(monkeypatch):
+    """Side s of trial i is derive_rng(base_seed, i, s, 1).random((n, bits)) < rate."""
+    drawn = []
+
+    def keep(x, y, **kwargs):
+        drawn.append((x.copy(), y.copy()))
+        return crossmatch_test(x, y, **kwargs)
+
+    monkeypatch.setattr(harness, "crossmatch_test", keep)
+    spec = bernoulli_spec(0.2, 16)
+    plan = quick_plan(sampler_a=spec, sampler_b=spec, n_per_trial=30, num_trials=2)
     run_trials(plan)  # must not touch any model
-    u = derive_rng(plan.base_seed, 0, 0, 1).random((30, 16))
-    first_side = (u < 0.2).astype(np.uint8)
-    assert 0.1 < first_side.mean() < 0.3
+    assert len(drawn) == 2
+    for trial, sides in enumerate(drawn):
+        for side, bits in enumerate(sides):
+            u = derive_rng(plan.base_seed, trial, side, 1).random((30, 16))
+            np.testing.assert_array_equal(bits, (u < 0.2).astype(np.uint8))
+    assert 0.1 < drawn[0][0].mean() < 0.3
 
 
 def test_mismatched_widths_fail():
-    plan = quick_plan(sampler_a=SamplerSpec.bernoulli(0.5, 4),
-                      sampler_b=SamplerSpec.bernoulli(0.5, 5), n_per_trial=4)
+    plan = quick_plan(sampler_a=bernoulli_spec(0.5, 4),
+                      sampler_b=bernoulli_spec(0.5, 5), n_per_trial=4)
     with pytest.raises(ValueError):
         run_trials(plan)
-
-
-def test_sampler_spec_validation():
-    model = random_model(3, 2, 0.1, seed=0)
-    with pytest.raises(ValueError):
-        SamplerSpec(kind="ideal", model=model)  # missing settings
-    with pytest.raises(ValueError):
-        SamplerSpec(kind="digital", model=model, settings=QUICK)
-    with pytest.raises(ValueError):
-        SamplerSpec(kind="analog", model=model, settings=QUICK)
-    with pytest.raises(ValueError):
-        SamplerSpec(kind="bernoulli", rate=1.5, n_bits=4)
-    with pytest.raises(ValueError):
-        SamplerSpec(kind="bernoulli", rate=0.5, n_bits=0)
-    with pytest.raises(ValueError):
-        SamplerSpec(kind="quantum")
 
 
 def test_trial_plan_validation():

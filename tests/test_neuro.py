@@ -13,12 +13,12 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 from scipy.special import expit
 
-from gibbsmatch.neuro import (PRESET_CONFIGS, AnalogConfig, DigitalKernel,
+from gibbsmatch.chains import run_chain
+from gibbsmatch.neuro import (PRESET_CONFIGS, AnalogConfig, AnalogKernel, DigitalKernel,
                               DigitalNeuronState, DigitalSamplerConfig,
                               ResourceEstimate, analog_lif_sample,
                               digital_gibbs_step, digital_neuron_sample,
-                              digital_spike_prob_exact, resource_estimate,
-                              run_analog_chain, run_digital_chain)
+                              digital_spike_prob_exact, resource_estimate)
 from gibbsmatch.rbm import ChainSettings, GibbsState, RbmModel, random_model
 from gibbsmatch.rng import derive_rng
 
@@ -162,6 +162,11 @@ def test_preset_table_frozen():
 
 # --- digital Gibbs steps and chains -------------------------------------------------
 
+def digital_chain(model, settings, cfg, seed):
+    """One digital chain whose leak-group wiring comes from the chain's own seed."""
+    return run_chain(DigitalKernel(model, cfg, seed), settings, seed)
+
+
 def test_digital_step_draw_contract():
     model = random_model(5, 3, 0.4, seed=2)
     cfg = DigitalSamplerConfig(window=4, threshold=10, threshold_bits=6, leak=7,
@@ -174,7 +179,7 @@ def test_digital_step_draw_contract():
     fresh = derive_rng(6, 6)
     fresh.random(cfg.window * (groups_h + 3 + groups_v + 5))
     assert rng.random() == fresh.random()
-    kernel = DigitalKernel(model, cfg)
+    kernel = DigitalKernel(model, cfg, seed=0)
     assert kernel.n_uniforms_per_step == cfg.window * (groups_h + 3 + groups_v + 5)
     assert kernel.n_normals_per_step == 0
 
@@ -184,7 +189,7 @@ def test_digital_chain_matches_manual_steps():
     cfg = DigitalSamplerConfig(window=3, threshold=5, threshold_bits=7, leak=11,
                                scale=30, leak_density=2)
     cs = ChainSettings(n_samples=25, burn_in=80, thin=3)
-    batch = run_digital_chain(model, cs, cfg, seed=15)
+    batch = digital_chain(model, cs, cfg, 15)
 
     v0 = (derive_rng(15, 0).random(4) < 0.5).astype(np.uint8)
     state = GibbsState(v=v0, h=np.zeros(3, dtype=np.uint8))
@@ -203,7 +208,7 @@ def test_digital_chain_random_groups_matches_manual_steps():
     cfg = DigitalSamplerConfig(window=2, threshold=0, threshold_bits=8, leak=50,
                                scale=40, leak_density=3, random_groups=True)
     cs = ChainSettings(n_samples=10, burn_in=20, thin=2)
-    batch = run_digital_chain(model, cs, cfg, seed=33)
+    batch = digital_chain(model, cs, cfg, 33)
 
     hidden_perm = derive_rng(33, 0xD0, 0).permutation(4)
     visible_perm = derive_rng(33, 0xD0, 1).permutation(6)
@@ -230,19 +235,19 @@ def leak_dominated_cfg(density, random_groups=False):
 def test_shared_leak_makes_columns_identical():
     model = zero_model(6, 3)
     cs = ChainSettings(n_samples=50, burn_in=5, thin=1)
-    full = run_digital_chain(model, cs, leak_dominated_cfg(6), seed=9)
+    full = digital_chain(model, cs, leak_dominated_cfg(6), 9)
     assert (full.samples == full.samples[:, :1]).all()
     mix = full.samples.mean()
     assert 0.2 < mix < 0.8  # the shared coin still flips between samples
 
-    independent = run_digital_chain(model, cs, leak_dominated_cfg(1), seed=9)
+    independent = digital_chain(model, cs, leak_dominated_cfg(1), 9)
     assert not (independent.samples == independent.samples[:, :1]).all()
 
 
 def test_random_groups_permute_column_blocks():
     model = zero_model(4, 2)
     cs = ChainSettings(n_samples=60, burn_in=5, thin=1)
-    batch = run_digital_chain(model, cs, leak_dominated_cfg(2, random_groups=True), seed=1)
+    batch = digital_chain(model, cs, leak_dominated_cfg(2, random_groups=True), 1)
     same = [(i, j) for i in range(4) for j in range(i + 1, 4)
             if (batch.samples[:, i] == batch.samples[:, j]).all()]
     # leak groups of two units -> exactly two always-equal column pairs
@@ -254,11 +259,10 @@ def test_digital_chain_deterministic_and_labeled():
     model = random_model(4, 2, 0.3, seed=5)
     cs = ChainSettings(n_samples=5, burn_in=10, thin=1)
     cfg = PRESETS["G3"]
-    a = run_digital_chain(model, cs, cfg, seed=2)
-    b = run_digital_chain(model, cs, cfg, seed=2)
+    a = digital_chain(model, cs, cfg, 2)
+    b = digital_chain(model, cs, cfg, 2)
     np.testing.assert_array_equal(a.samples, b.samples)
     assert a.sampler_id == cfg.label()
-    assert run_digital_chain(model, cs, cfg, seed=2, sampler_id="hw").sampler_id == "hw"
 
 
 def test_digital_labels_mention_density():
@@ -325,17 +329,17 @@ def test_analog_tracks_logistic():
 def test_shared_noise_makes_columns_identical():
     model = zero_model(5, 2)
     cs = ChainSettings(n_samples=40, burn_in=5, thin=1)
-    shared = run_analog_chain(model, cs, AnalogConfig(noise_density=5), seed=6)
+    shared = run_chain(AnalogKernel(model, AnalogConfig(noise_density=5)), cs, seed=6)
     assert (shared.samples == shared.samples[:, :1]).all()
-    solo = run_analog_chain(model, cs, AnalogConfig(), seed=6)
+    solo = run_chain(AnalogKernel(model, AnalogConfig()), cs, seed=6)
     assert not (solo.samples == solo.samples[:, :1]).all()
 
 
 def test_analog_chain_deterministic_and_labeled():
     model = random_model(3, 2, 0.5, seed=12)
     cs = ChainSettings(n_samples=4, burn_in=8, thin=1)
-    a = run_analog_chain(model, cs, AnalogConfig(), seed=5)
-    b = run_analog_chain(model, cs, AnalogConfig(), seed=5)
+    a = run_chain(AnalogKernel(model, AnalogConfig()), cs, seed=5)
+    b = run_chain(AnalogKernel(model, AnalogConfig()), cs, seed=5)
     np.testing.assert_array_equal(a.samples, b.samples)
     assert a.sampler_id == AnalogConfig().label()
     assert "nd=3" in AnalogConfig(noise_density=3).label()

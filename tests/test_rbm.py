@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from gibbsmatch.chains import IdealKernel, run_chains
+from gibbsmatch.chains import IdealKernel, run_chain, run_chains
 from gibbsmatch.rbm import (ChainSettings, GibbsState, RbmModel, SampleBatch,
                             TrainConfig, cd1_train, energy, enumerate_states,
                             exact_visible_marginal, gibbs_step,
                             hidden_activation_probs, log_partition_exact,
-                            random_model, run_chain, sigmoid_prob, state_index,
+                            random_model, sigmoid_prob, state_index,
                             visible_activation_probs)
 from gibbsmatch.rng import derive_rng
 
@@ -217,8 +217,8 @@ def test_gibbs_step_uses_conditional_thresholds():
 def test_run_chain_deterministic():
     m = tiny_model()
     cs = ChainSettings(n_samples=20, burn_in=30, thin=3)
-    a = run_chain(m, cs, seed=8)
-    b = run_chain(m, cs, seed=8)
+    a = run_chain(IdealKernel(m), cs, seed=8)
+    b = run_chain(IdealKernel(m), cs, seed=8)
     np.testing.assert_array_equal(a.samples, b.samples)
     assert a.sampler_id == "ideal" and a.seed == 8
 
@@ -227,7 +227,7 @@ def test_run_chain_matches_manual_stepping():
     """The batched engine replays exactly as sequential gibbs_step calls."""
     m = random_model(5, 3, 0.6, seed=31)
     cs = ChainSettings(n_samples=40, burn_in=100, thin=3)
-    batch = run_chain(m, cs, seed=17)
+    batch = run_chain(IdealKernel(m), cs, seed=17)
 
     v0 = (derive_rng(17, 0).random(5) < 0.5).astype(np.uint8)
     state = GibbsState(v=v0, h=np.zeros(3, dtype=np.uint8))
@@ -244,7 +244,7 @@ def test_run_chain_matches_manual_stepping():
 def test_fair_coin_model_is_uniform():
     m = RbmModel(W=np.zeros((4, 2)), b_v=np.zeros(4), b_h=np.zeros(2))
     np.testing.assert_allclose(exact_visible_marginal(m), 1 / 16, atol=1e-12)
-    batch = run_chain(m, ChainSettings(n_samples=4000, burn_in=50, thin=1), seed=3)
+    batch = run_chain(IdealKernel(m), ChainSettings(n_samples=4000, burn_in=50, thin=1), seed=3)
     counts = np.bincount(state_index(batch.samples), minlength=16)
     tv = 0.5 * np.abs(counts / 4000 - 1 / 16).sum()
     assert tv < 0.06
@@ -254,7 +254,7 @@ def test_given_vector_init():
     m = tiny_model()
     vec = np.array([1, 0, 1], dtype=np.uint8)
     cs = ChainSettings(n_samples=2, burn_in=0, thin=1, init="given-vector", init_vector=vec)
-    batch = run_chain(m, cs, seed=4)
+    batch = run_chain(IdealKernel(m), cs, seed=4)
     state = GibbsState(v=vec, h=np.zeros(2, dtype=np.uint8))
     state = gibbs_step(m, state, derive_rng(4, 1))
     np.testing.assert_array_equal(batch.samples[0], state.v)
