@@ -367,7 +367,8 @@ def _add_common(p: argparse.ArgumentParser, *, config=True, out=True, trials=Tru
                        help="samples per group per trial")
     if matching:
         p.add_argument("--matching", choices=["optimal", "greedy"],
-                       help="matching method (default: optimal up to 400 pooled points)")
+                       help="matching method (default: optimal, the exact minimum-weight "
+                            "matching at every size; greedy's p-value is not exact)")
 
 
 def _build_parser() -> argparse.ArgumentParser:

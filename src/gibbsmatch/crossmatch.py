@@ -1,10 +1,11 @@
 """Crossmatch two-sample test on binary sample batches.
 
-Pools the two groups, builds the Hamming distance matrix, finds a perfect
-matching (exact minimum-weight, or greedy), and counts cross-group
-pairs. Under the null that both groups share one distribution, the cross
-count A for an optimal matching has a known closed-form distribution; small
-A is evidence the groups differ, and the p-value is the lower tail F(a_obs).
+Pools the two groups, builds the Hamming distance matrix, finds a
+minimum-weight perfect matching, and counts cross-group pairs. Under the
+null that both groups share one distribution, the cross count A of a
+minimum-weight matching has a known closed-form distribution; small A is
+evidence the groups differ, and the p-value is the lower tail F(a_obs). A
+greedy matcher stays selectable; its p-value is not exact.
 
 Binary data has heavily tied distances, so every unordered pair receives a
 seeded jitter drawn from U(0, 0.4/n). Any perfect matching sums exactly n
@@ -12,6 +13,13 @@ jitters, so the perturbation of a matching total stays below 0.4 < 1/2 and
 distinct integer totals are never reordered; among cost-equal matchings the
 jitter picks one independent of input row order. Reported total_cost is
 recomputed from the unjittered integer distances.
+
+The exact matcher solves Edmonds' matching linear program by cutting planes
+and pricing (Grötschel & Holland 1985; Applegate & Cook 1993): the LP on a
+sparse candidate set of pairs, odd-set cuts for fractional solutions, every
+pair priced in by its reduced cost, and an integer program on the
+candidates when the cuts run out, made exact by reduced-cost fixing (see
+optimal_matching).
 """
 
 from __future__ import annotations
@@ -20,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.sparse.csgraph import connected_components
 from scipy.special import gammaln
 
 from .rbm import SampleBatch
@@ -40,10 +49,12 @@ __all__ = [
     "crossmatch_test",
 ]
 
-# Pooled-size cutoff between exact minimum-weight matching and the greedy fallback.
-AUTO_OPTIMAL_LIMIT = 400
-
 _JITTER_TAG = 0xCA
+_TILE_ROWS = 512       # pooled rows per block of the distance computation
+_NEIGHBOURS = 10       # candidate pairs per point: its nearest by jittered weight
+_CUT_ROUNDS = 10       # odd-set cut rounds before the integer-program finish
+_TOL = 1e-9            # reduced costs below -_TOL price a pair in
+_FRACTIONAL = 1e-6     # LP values further than this from 0 and 1 are fractional
 
 
 def _as_bits(x) -> np.ndarray:
@@ -88,6 +99,11 @@ class Matching:
     pairs: tuple
     total_cost: float
     method: str
+    # Work of the exact solver; zero for greedy, and written to no output.
+    lp_rounds: int = field(default=0, compare=False, repr=False)
+    cuts: int = field(default=0, compare=False, repr=False)
+    priced: int = field(default=0, compare=False, repr=False)
+    milp_solves: int = field(default=0, compare=False, repr=False)
 
     def __post_init__(self):
         flat = sorted(i for pair in self.pairs for i in pair)
@@ -123,16 +139,28 @@ def hamming(z, z2) -> int:
 
 
 def pairwise_distances(X, Y) -> DistanceMatrix:
-    """Hamming distance matrix over the pooled rows of X then Y."""
+    """Hamming distance matrix over the pooled rows of X then Y.
+
+    d(x, y) = |x| + |y| - 2 x.y, with the dot products from a float32 matrix
+    product, one tile of _TILE_ROWS rows at a time. Every partial sum is an
+    integer no larger than the row width, which is below 2**24, so float32
+    holds each one exactly.
+    """
     xb, yb = _as_bits(X), _as_bits(Y)
     if xb.shape[1] != yb.shape[1]:
         raise ValueError(f"row length mismatch: {xb.shape[1]} vs {yb.shape[1]}")
     if xb.shape[0] != yb.shape[0]:
         raise ValueError(f"group size mismatch: {xb.shape[0]} vs {yb.shape[0]}")
+    if xb.shape[1] >= 2 ** 24:
+        raise ValueError(f"rows of {xb.shape[1]} bits are too wide for exact float32 sums")
     z = np.vstack([xb, yb])
-    packed = np.packbits(z, axis=1)  # zero padding bits cancel in the XOR
-    d = np.bitwise_count(packed[:, None, :] ^ packed[None, :, :]).sum(axis=2)
-    return DistanceMatrix(entries=d.astype(np.int64), n=xb.shape[0])
+    ones = z.sum(axis=1, dtype=np.int64)
+    z = z.astype(np.float32)
+    d = np.empty((z.shape[0], z.shape[0]), dtype=np.int64)
+    for r in range(0, z.shape[0], _TILE_ROWS):
+        tile = slice(r, r + _TILE_ROWS)
+        d[tile] = ones[tile, None] + ones - 2 * (z[tile] @ z.T).astype(np.int64)
+    return DistanceMatrix(entries=d, n=xb.shape[0])
 
 
 def _jittered_weights(D: DistanceMatrix, tie_seed: int):
@@ -146,55 +174,163 @@ def _jittered_weights(D: DistanceMatrix, tie_seed: int):
     return w, iu
 
 
-def _finish(D: DistanceMatrix, pairs, method: str) -> Matching:
+def _finish(D: DistanceMatrix, pairs, method: str, **counts) -> Matching:
     pairs = tuple(sorted((min(i, j), max(i, j)) for i, j in pairs))
     cost = sum(int(D.entries[i, j]) for i, j in pairs)
-    return Matching(pairs=pairs, total_cost=cost, method=method)
+    return Matching(pairs=pairs, total_cost=cost, method=method, **counts)
 
 
-def optimal_matching(D: DistanceMatrix, tie_seed: int = 0) -> Matching:
-    """Minimum-weight perfect matching of the pooled points.
-
-    Solved as an exact integer program (one binary variable per edge, degree-1
-    equality per vertex) with the HiGHS branch-and-cut backend: several times
-    faster here than the available pure-Python blossom implementations, and
-    verified against exhaustive search and a blossom solver in the tests. Any
-    tolerance slack in the solver is below the jitter scale, so the integer
-    total_cost is always the true minimum.
-    """
-    if D.size % 2:
-        raise ValueError("matching requires an even number of points")
-    w, iu = _jittered_weights(D, tie_seed)
-    n_edges = iu[0].size
-    incidence = sparse.csc_matrix(
-        (np.ones(2 * n_edges), (np.concatenate([iu[0], iu[1]]), np.tile(np.arange(n_edges), 2))),
-        shape=(D.size, n_edges))
-    res = milp(c=w[iu], constraints=LinearConstraint(incidence, 1, 1),
-               integrality=np.ones(n_edges), bounds=Bounds(0, 1),
-               options={"mip_rel_gap": 0.0})
-    if res.status != 0 or res.x is None:
-        raise RuntimeError(f"matching solver failed: {res.message}")
-    chosen = res.x > 0.5
-    return _finish(D, zip(iu[0][chosen].tolist(), iu[1][chosen].tolist()), "optimal")
-
-
-def greedy_matching(D: DistanceMatrix, tie_seed: int = 0) -> Matching:
-    """Repeatedly match the globally closest unmatched pair of pooled points."""
-    size = D.size
-    if size % 2:
-        raise ValueError("matching requires an even number of points")
-    w, iu = _jittered_weights(D, tie_seed)
-    order = np.argsort(w[iu])
+def _greedy_pairs(w: np.ndarray, iu) -> list:
+    """Repeatedly take the globally cheapest pair of two free points."""
+    size = w.shape[0]
     free = np.ones(size, dtype=bool)
     pairs = []
-    for k in order:
+    for k in np.argsort(w[iu]):
         i, j = int(iu[0][k]), int(iu[1][k])
         if free[i] and free[j]:
             free[i] = free[j] = False
             pairs.append((i, j))
             if 2 * len(pairs) == size:
                 break
-    return _finish(D, pairs, "greedy")
+    return pairs
+
+
+def _incidence(size: int, eu: np.ndarray, ev: np.ndarray):
+    """Vertex-by-pair incidence matrix of the candidate pairs."""
+    cols = np.arange(eu.size)
+    return sparse.csc_matrix((np.ones(2 * eu.size), (np.concatenate([eu, ev]), np.tile(cols, 2))),
+                             shape=(size, eu.size))
+
+
+def _matching_lp(size: int, eu, ev, cost, cuts: list):
+    """Degree-equality LP on the candidate pairs, with x(delta(S)) >= 1 per odd set.
+
+    Returns the solution, the vertex duals y, the cut duals z >= 0 and the
+    optimal value.
+    """
+    a_ub = b_ub = None
+    if cuts:
+        member = np.array(cuts)
+        a_ub = -sparse.csr_matrix(member[:, eu] != member[:, ev], dtype=np.float64)
+        b_ub = -np.ones(len(cuts))
+    # Tolerances far below HiGHS's 1e-7 defaults, so that no candidate
+    # prices below -_TOL and the final duals bound every matching.
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=_incidence(size, eu, ev), b_eq=np.ones(size),
+                  bounds=(0, None), method="highs-ds",
+                  options={"dual_feasibility_tolerance": 1e-10,
+                           "primal_feasibility_tolerance": 1e-10})
+    if res.status != 0:
+        raise RuntimeError(f"matching LP failed: {res.message}")
+    z = -res.ineqlin.marginals if cuts else np.zeros(0)
+    return res.x, res.eqlin.marginals, z, res.fun
+
+
+def _reduced_costs(w: np.ndarray, y, z, cuts: list) -> np.ndarray:
+    """w_uv - y_u - y_v - sum of z_S over the cuts S that separate u from v."""
+    rc = w - y[:, None] - y[None, :]
+    if cuts:
+        member = np.array(cuts, dtype=np.float64).T
+        crossing = member @ z
+        rc -= crossing[:, None] + crossing[None, :] - 2.0 * (member * z) @ member.T
+    return rc
+
+
+def _odd_components(size: int, eu, ev, x) -> list:
+    """Membership rows of the odd connected components of the LP support."""
+    support = x > _FRACTIONAL
+    graph = sparse.coo_matrix((x[support], (eu[support], ev[support])), shape=(size, size))
+    _, labels = connected_components(graph, directed=False)
+    return [labels == c for c in np.flatnonzero(np.bincount(labels) % 2)]
+
+
+def _milp_matching(size: int, eu, ev, cost):
+    """Minimum-weight perfect matching on the candidate pairs, as an integer program."""
+    res = milp(c=cost, constraints=LinearConstraint(_incidence(size, eu, ev), 1, 1),
+               integrality=np.ones(eu.size), bounds=Bounds(0, 1), options={"mip_rel_gap": 0.0})
+    if res.status != 0 or res.x is None:
+        raise RuntimeError(f"matching solver failed: {res.message}")
+    return res.x > 0.5, res.fun
+
+
+def optimal_matching(D: DistanceMatrix, tie_seed: int = 0) -> Matching:
+    """Minimum-weight perfect matching of the pooled points.
+
+    Exact for the jittered weights, so the pairs are the jittered optimum and
+    the integer total_cost is the true minimum. The candidate pairs start as
+    each point's nearest neighbours plus a greedy perfect matching. Each
+    round solves the matching LP on the candidates and prices every pair
+    with its duals: rc_uv = w_uv - y_u - y_v - sum of z_S over the cuts S
+    that separate u and v. Pairs with rc_uv < 0 join the candidates and the
+    LP is solved again. Once none do, the duals are feasible for the LP over
+    all pairs: an integral solution is then optimal, and a fractional one
+    gets a cut x(delta(S)) >= 1 for each odd component S of its support.
+
+    When no odd component is left, or after _CUT_ROUNDS cut rounds, an
+    integer program on the candidates gives their best matching, of weight
+    U. The duals are feasible for every pair (rc >= 0) and the cut duals
+    are nonnegative, so by weak duality every perfect matching M weighs at
+    least L + (sum of rc over M), L being the LP value. A matching that
+    uses a pair with rc > U - L therefore weighs more than U. The pairs
+    with rc <= U - L join the candidates and the integer program runs again
+    until no pair enters; its matching is then optimal over all pairs. The
+    returned Matching counts the LP rounds, cuts, priced pairs and integer
+    programs.
+    """
+    size = D.size
+    if size % 2:
+        raise ValueError("matching requires an even number of points")
+    w, iu = _jittered_weights(D, tie_seed)
+    np.fill_diagonal(w, np.inf)
+    k = min(_NEIGHBOURS, size - 1)
+    cand = np.zeros((size, size), dtype=bool)
+    cand[np.arange(size)[:, None], np.argpartition(w, k - 1, axis=1)[:, :k]] = True
+    for i, j in _greedy_pairs(w, iu):
+        cand[i, j] = True
+    cand = np.triu(cand | cand.T, 1)
+    cuts = []
+    counts = {"lp_rounds": 0, "cuts": 0, "priced": 0, "milp_solves": 0}
+
+    def enter(mask) -> int:
+        new = np.triu(mask & ~cand, 1)
+        cand[new] = True
+        added = int(new.sum())
+        counts["priced"] += added
+        return added
+
+    def result(chosen) -> Matching:
+        return _finish(D, zip(eu[chosen].tolist(), ev[chosen].tolist()), "optimal", **counts)
+
+    cut_rounds = 0
+    while True:
+        eu, ev = np.nonzero(cand)
+        x, y, z, lower = _matching_lp(size, eu, ev, w[eu, ev], cuts)
+        counts["lp_rounds"] += 1
+        rc = _reduced_costs(w, y, z, cuts)
+        if enter(rc < -_TOL):
+            continue
+        if not (np.abs(x - np.round(x)) > _FRACTIONAL).any():
+            return result(x > 0.5)
+        odd = _odd_components(size, eu, ev, x) if cut_rounds < _CUT_ROUNDS else []
+        if not odd:
+            break
+        cuts += odd
+        counts["cuts"] += len(odd)
+        cut_rounds += 1
+    while True:
+        chosen, upper = _milp_matching(size, eu, ev, w[eu, ev])
+        counts["milp_solves"] += 1
+        # the slack covers the rounding of U and L, which are sums of many weights
+        if not enter(rc <= upper - lower + _TOL * max(1.0, abs(upper))):
+            return result(chosen)
+        eu, ev = np.nonzero(cand)
+
+
+def greedy_matching(D: DistanceMatrix, tie_seed: int = 0) -> Matching:
+    """Repeatedly match the globally closest unmatched pair of pooled points."""
+    if D.size % 2:
+        raise ValueError("matching requires an even number of points")
+    w, iu = _jittered_weights(D, tie_seed)
+    return _finish(D, _greedy_pairs(w, iu), "greedy")
 
 
 def cross_count(m: Matching, n: int) -> int:
@@ -233,13 +369,13 @@ def p_value(a_obs: int, n: int) -> float:
 def crossmatch_test(X, Y, method: str = "auto", tie_seed: int = 0) -> CrossmatchOutcome:
     """Run the Crossmatch test between two equal-size binary sample batches.
 
-    method: "optimal", "greedy", or "auto" (optimal up to pooled size
-    AUTO_OPTIMAL_LIMIT, greedy beyond). The closed-form null is exact only
-    for the optimal matching; greedy calibration is checked empirically.
+    method: "optimal" (also "auto") or "greedy". The closed-form null is
+    exact only for the optimal matching; greedy calibration is checked
+    empirically.
     """
     D = pairwise_distances(X, Y)
     if method == "auto":
-        method = "optimal" if D.size <= AUTO_OPTIMAL_LIMIT else "greedy"
+        method = "optimal"
     if method == "optimal":
         m = optimal_matching(D, tie_seed)
     elif method == "greedy":

@@ -2,8 +2,9 @@
 
 Oracles: the null PMF is compared against direct enumeration of label
 assignments over a fixed perfect matching; the optimal matcher against
-exhaustive search over all perfect matchings (and against an independent
-blossom implementation from networkx on larger instances); the greedy
+exhaustive search over all perfect matchings, against the dense integer
+program of matching_oracle (same pairs), and against an independent blossom
+implementation from networkx on larger instances (same total); the greedy
 matcher against a from-scratch replay of its documented tie-break contract.
 """
 
@@ -14,13 +15,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from gibbsmatch.crossmatch import (AUTO_OPTIMAL_LIMIT, CrossmatchOutcome,
-                                   DistanceMatrix, Matching, cross_count,
-                                   crossmatch_test, greedy_matching, hamming,
-                                   null_pmf, optimal_matching, p_value,
+from gibbsmatch.crossmatch import (CrossmatchOutcome, DistanceMatrix, Matching,
+                                   cross_count, crossmatch_test, greedy_matching,
+                                   hamming, null_pmf, optimal_matching, p_value,
                                    pairwise_distances)
 from gibbsmatch.rbm import ChainSettings, SampleBatch
 from gibbsmatch.rng import derive_rng
+from matching_oracle import milp_pairs
 
 
 def random_bits(seed, rows, cols, p=0.5):
@@ -69,6 +70,16 @@ def test_pairwise_distances_matches_loops():
     for i in range(10):
         for j in range(10):
             assert D.entries[i, j] == int((pooled[i] != pooled[j]).sum())
+
+
+def test_pairwise_distances_match_unpacked_bits_across_tiles():
+    # 600 pooled rows span two row tiles; 37 bits is not a whole number of bytes
+    X = random_bits(13, 300, 37)
+    Y = random_bits(14, 300, 37, p=0.2)
+    D = pairwise_distances(X, Y)
+    pooled = np.vstack([X, Y])
+    assert D.entries.dtype == np.int64
+    np.testing.assert_array_equal(D.entries, (pooled[:, None, :] != pooled[None, :, :]).sum(axis=2))
 
 
 def test_pairwise_distances_structure():
@@ -264,19 +275,63 @@ def test_equidistant_points_any_matching_is_optimal():
     assert greedy_matching(D, 0).total_cost == 12
 
 
-def test_optimal_agrees_with_blossom_solver():
+def networkx_total(D):
     nx = pytest.importorskip("networkx")
-    for n, seed in ((20, 1), (40, 2)):
+    g = nx.Graph()
+    iu = np.triu_indices(D.size, k=1)
+    g.add_weighted_edges_from(zip(iu[0].tolist(), iu[1].tolist(), D.entries[iu].tolist()))
+    return sum(int(D.entries[i, j]) for i, j in nx.min_weight_matching(g))
+
+
+@given(st.integers(min_value=1, max_value=30), st.integers(min_value=4, max_value=16),
+       st.floats(min_value=0.1, max_value=0.9), st.integers(min_value=0, max_value=10**6))
+@hyp_settings(max_examples=60, deadline=None)
+def test_optimal_pairs_equal_the_milp_oracle(n, bits, p, seed):
+    X = random_bits(seed, n, bits)
+    Y = random_bits(seed + 1, n, bits, p=p)
+    D = pairwise_distances(X, Y)
+    assert optimal_matching(D, tie_seed=seed).pairs == milp_pairs(D, tie_seed=seed)
+
+
+def stage_instance(seed, n, bits):
+    X = (derive_rng(seed, n, 0).random((n, bits)) < 0.5).astype(np.uint8)
+    Y = (derive_rng(seed, n, 1).random((n, bits)) < 0.5).astype(np.uint8)
+    return pairwise_distances(X, Y)
+
+
+@pytest.mark.parametrize("seed, n, bits, stages", [
+    (14, 30, 12, (True, False, 0)),   # pricing alone: the LP turns integral
+    (0, 15, 6, (False, True, 0)),     # odd-set cuts alone
+    (69, 15, 6, (False, True, 1)),    # cuts, then the integer-program finish
+    (7, 25, 10, (True, True, 2)),     # all stages; pairs enter by reduced-cost fixing
+])
+def test_solver_stages_on_pinned_instances(seed, n, bits, stages):
+    D = stage_instance(seed, n, bits)
+    m = optimal_matching(D, tie_seed=seed)
+    assert m.pairs == milp_pairs(D, tie_seed=seed)
+    assert (m.priced > 0, m.cuts > 0, m.milp_solves) == stages
+
+
+def test_nearest_neighbour_candidates_without_a_perfect_matching():
+    # two far-apart groups of 11 points: every point's 10 nearest neighbours
+    # lie in its own group, and an odd group cannot be matched within itself,
+    # so the greedy pairs must supply the one crossing pair
+    rng = derive_rng(31)
+    X = np.zeros((11, 40), dtype=np.uint8)
+    Y = np.ones((11, 40), dtype=np.uint8)
+    X[:, :6] = rng.random((11, 6)) < 0.5
+    Y[:, :6] = rng.random((11, 6)) < 0.5
+    D = pairwise_distances(X, Y)
+    m = optimal_matching(D, tie_seed=2)
+    assert m.pairs == milp_pairs(D, tie_seed=2)
+    assert cross_count(m, 11) == 1
+
+
+def test_optimal_agrees_with_blossom_solver():
+    for n, seed in ((20, 1), (40, 2), (50, 3), (100, 4)):
         D = pairwise_distances(random_bits(seed, n, 16),
                                random_bits(50 + seed, n, 16))
-        ours = optimal_matching(D, tie_seed=seed)
-        g = nx.Graph()
-        for i in range(D.size):
-            for j in range(i + 1, D.size):
-                g.add_edge(i, j, weight=int(D.entries[i, j]))
-        theirs = nx.min_weight_matching(g)
-        cost = sum(int(D.entries[i, j]) for i, j in theirs)
-        assert ours.total_cost == cost
+        assert optimal_matching(D, tie_seed=seed).total_cost == networkx_total(D)
 
 
 def test_matching_validation():
@@ -324,9 +379,12 @@ def test_auto_method_dispatch():
     X = random_bits(1, 10, 8)
     Y = random_bits(2, 10, 8)
     assert crossmatch_test(X, Y).method == "optimal"
-    big_x = random_bits(3, AUTO_OPTIMAL_LIMIT // 2 + 1, 8)
-    big_y = random_bits(4, AUTO_OPTIMAL_LIMIT // 2 + 1, 8)
-    assert crossmatch_test(big_x, big_y).method == "greedy"
+    # auto is exact at every size: at 402 pooled points greedy's total is 76
+    big_x = random_bits(3, 201, 8)
+    big_y = random_bits(4, 201, 8)
+    out = crossmatch_test(big_x, big_y)
+    assert out.method == "optimal"
+    assert out.matching.total_cost == networkx_total(pairwise_distances(big_x, big_y))
     with pytest.raises(ValueError):
         crossmatch_test(X, Y, method="fastest")
 
