@@ -112,20 +112,25 @@ def run_chains(kernel: GibbsKernel, settings: ChainSettings, seed: int,
     v = _initial_states(settings, kernel.n_visible, seed, paths)
     nu = kernel.n_uniforms_per_step
     nz = kernel.n_normals_per_step
-    u_rngs = [derive_rng(seed, *p, _UNIFORM) for p in paths] if nu else None
-    z_rngs = [derive_rng(seed, *p, _NORMAL) for p in paths] if nz else None
+    u_rngs = [derive_rng(seed, *p, _UNIFORM) for p in paths] if nu else []
+    z_rngs = [derive_rng(seed, *p, _NORMAL) for p in paths] if nz else []
 
+    total = settings.total_steps
     per_step_bytes = 8 * n_chains * max(nu + nz, 1)
-    chunk = int(np.clip(_CHUNK_TARGET_BYTES // per_step_bytes, 1, 64))
+    chunk = int(np.clip(_CHUNK_TARGET_BYTES // per_step_bytes, 1, min(64, total)))
+    # One draw buffer per stream kind, refilled chain by chain every chunk.
+    U = np.empty((n_chains, chunk, nu)) if nu else None
+    Z = np.empty((n_chains, chunk, nz)) if nz else None
 
     out = np.empty((n_chains, settings.n_samples, kernel.n_visible), dtype=np.uint8)
     recorded = 0
     step = 0
-    total = settings.total_steps
     while step < total:
         k = min(chunk, total - step)
-        U = np.stack([g.random((k, nu)) for g in u_rngs]) if u_rngs else None
-        Z = np.stack([g.standard_normal((k, nz)) for g in z_rngs]) if z_rngs else None
+        for c, g in enumerate(u_rngs):
+            g.random(out=U[c, :k])
+        for c, g in enumerate(z_rngs):
+            g.standard_normal(out=Z[c, :k])
         for t in range(k):
             v = kernel.step(v,
                             U[:, t] if U is not None else None,

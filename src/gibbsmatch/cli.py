@@ -43,31 +43,52 @@ class ConfigError(ValueError):
     """A run config failed schema validation."""
 
 
+# The type each config field must hold, named as the error message names it.
+_INT, _REAL, _STR, _BOOL = "an integer", "a number", "a string", "true or false"
+_LIST, _INTS = "a list", "a list of integers"
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_IS_TYPE = {
+    _INT: _is_int,
+    _REAL: lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    _STR: lambda v: isinstance(v, str),
+    _BOOL: lambda v: isinstance(v, bool),
+    _LIST: lambda v: isinstance(v, list),
+    _INTS: lambda v: isinstance(v, list) and all(_is_int(x) for x in v),
+}
+
 _ROOT_KEYS = {"model", "data", "chain", "sampler_a", "sampler_b", "trials",
               "energy", "sweep", "out_dir"}
 _MODEL_KEYS = {
-    "random": {"kind", "n_visible", "n_hidden", "sigma"},
-    "file": {"kind", "path"},
-    "train": {"kind", "n_hidden", "epochs", "learning_rate", "batch_size", "init_sigma"},
+    "random": {"kind": _STR, "n_visible": _INT, "n_hidden": _INT, "sigma": _REAL},
+    "file": {"kind": _STR, "path": _STR},
+    "train": {"kind": _STR, "n_hidden": _INT, "epochs": _INT, "learning_rate": _REAL,
+              "batch_size": _INT, "init_sigma": _REAL},
 }
 _DATA_KEYS = {
-    "synth": {"kind", "dataset", "r", "count", "noise"},
-    "idx": {"kind", "path", "threshold"},
+    "synth": {"kind": _STR, "dataset": _STR, "r": _INT, "count": _INT, "noise": _REAL},
+    "idx": {"kind": _STR, "path": _STR, "threshold": _REAL},
 }
-_CHAIN_KEYS = {"burn_in", "thin", "init"}
+_CHAIN_KEYS = {"burn_in": _INT, "thin": _INT, "init": _STR}
 _SAMPLER_KEYS = {
-    "ideal": {"kind"},
-    "digital": {"kind", "window", "threshold", "threshold_bits", "leak", "scale",
-                "leak_density", "random_groups"},
-    "analog": {"kind", "capacitance", "g_leak", "threshold", "v_reset", "noise_sigma",
-               "dt", "window", "noise_density"},
-    "bernoulli": {"kind", "rate", "n_bits"},
+    "ideal": {"kind": _STR},
+    "digital": {"kind": _STR, "window": _INT, "threshold": _INT, "threshold_bits": _INT,
+                "leak": _INT, "scale": _REAL, "leak_density": _INT, "random_groups": _BOOL},
+    "analog": {"kind": _STR, "capacitance": _REAL, "g_leak": _REAL, "threshold": _REAL,
+               "v_reset": _REAL, "noise_sigma": _REAL, "dt": _REAL, "window": _INT,
+               "noise_density": _INT},
+    "bernoulli": {"kind": _STR, "rate": _REAL, "n_bits": _INT},
 }
-_TRIALS_KEYS = {"num_trials", "n_per_trial", "matching"}
-_ENERGY_KEYS = {"e_active", "e_core_static", "core_size"}
-_SWEEP_KEYS = {"configs", "densities"}
-_SWEEP_CONFIG_KEYS = {"label", "window", "threshold", "threshold_bits", "leak",
-                      "scale", "leak_density"}
+_TRIALS_KEYS = {"num_trials": _INT, "n_per_trial": _INT, "matching": _STR}
+_ENERGY_KEYS = {"e_active": _REAL, "e_core_static": _REAL, "core_size": _INT}
+_SWEEP_KEYS = {"configs": _LIST, "densities": _INTS}
+_SWEEP_CONFIG_KEYS = {"label": _STR, "window": _INT, "threshold": _INT,
+                      "threshold_bits": _INT, "leak": _INT, "scale": _REAL,
+                      "leak_density": _INT}
 
 DEFAULT_DENSITIES = (2, 5, 10, 50, 100, 200, 255)
 
@@ -95,13 +116,21 @@ def _check_keys(obj, allowed, where: str) -> None:
         raise ConfigError(f"unknown key(s) {unknown} in {where}")
 
 
+def _check_fields(obj, types: dict, where: str) -> None:
+    """Reject unknown keys and values of the wrong type."""
+    _check_keys(obj, types, where)
+    for key, value in obj.items():
+        if not _IS_TYPE[types[key]](value):
+            raise ConfigError(f"{where}.{key} must be {types[key]}, got {value!r}")
+
+
 def _check_kinded(obj, tables, where: str) -> None:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError(f"{where} must be an object with a 'kind' key")
     kind = obj["kind"]
-    if kind not in tables:
+    if not isinstance(kind, str) or kind not in tables:
         raise ConfigError(f"{where}.kind must be one of {sorted(tables)}, got {kind!r}")
-    _check_keys(obj, tables[kind], where)
+    _check_fields(obj, tables[kind], where)
 
 
 def validate_run_config(user: dict) -> None:
@@ -111,18 +140,18 @@ def validate_run_config(user: dict) -> None:
     if "data" in user:
         _check_kinded(user["data"], _DATA_KEYS, "data")
     if "chain" in user:
-        _check_keys(user["chain"], _CHAIN_KEYS, "chain")
+        _check_fields(user["chain"], _CHAIN_KEYS, "chain")
     for side in ("sampler_a", "sampler_b"):
         if side in user:
             _check_kinded(user[side], _SAMPLER_KEYS, side)
     if "trials" in user:
-        _check_keys(user["trials"], _TRIALS_KEYS, "trials")
+        _check_fields(user["trials"], _TRIALS_KEYS, "trials")
     if "energy" in user:
-        _check_keys(user["energy"], _ENERGY_KEYS, "energy")
+        _check_fields(user["energy"], _ENERGY_KEYS, "energy")
     if "sweep" in user:
-        _check_keys(user["sweep"], _SWEEP_KEYS, "sweep")
+        _check_fields(user["sweep"], _SWEEP_KEYS, "sweep")
         for i, entry in enumerate(user["sweep"].get("configs", [])):
-            _check_keys(entry, _SWEEP_CONFIG_KEYS, f"sweep.configs[{i}]")
+            _check_fields(entry, _SWEEP_CONFIG_KEYS, f"sweep.configs[{i}]")
     if "out_dir" in user and not isinstance(user["out_dir"], str):
         raise ConfigError("out_dir must be a string")
 

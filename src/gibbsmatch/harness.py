@@ -5,7 +5,8 @@ derives fresh per-side chain streams from (base_seed, trial, side) and a
 matching tie-break seed from (base_seed, trial, 2), generates n_per_trial
 samples per side, and runs the Crossmatch test. Trials are independent by
 construction: results are identical whatever the batching, and adding trials
-never perturbs earlier ones.
+never perturbs earlier ones. A sweep runs every config under one base_seed,
+so it draws the shared reference side once and reuses it for each config.
 
 Energy is a two-coefficient linear model (active neuron-ticks plus static
 core-ticks) in arbitrary units; the paper-style efficiency figure EPEff is
@@ -16,7 +17,7 @@ meaningful, not the absolute numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -42,6 +43,7 @@ __all__ = [
 ]
 
 _TIE_SIDE = 2  # seed-path slot used for the matching tie-break, after sides 0/1
+_BLOCK_SIZE = 64  # trials whose chains run as one batch
 
 HISTOGRAM_EDGES = np.round(np.arange(0.0, 1.0001, 0.05), 10)
 
@@ -139,10 +141,15 @@ def pvalue_stats(p_values) -> PValueStats:
 
 
 def _side_samples(spec: SamplerSpec, plan: TrialPlan, side: int,
-                  trials: Sequence[int]) -> np.ndarray:
+                  trials: range) -> np.ndarray:
     settings = replace(spec.settings, n_samples=plan.n_per_trial)
     paths = [(trial, side) for trial in trials]
     return run_chains(spec.kernel, settings, plan.base_seed, paths)
+
+
+def _trial_blocks(num_trials: int, block_size: int) -> list[range]:
+    return [range(start, min(start + block_size, num_trials))
+            for start in range(0, num_trials, block_size)]
 
 
 def tie_seed_for_trial(base_seed: int, trial: int) -> int:
@@ -150,7 +157,25 @@ def tie_seed_for_trial(base_seed: int, trial: int) -> int:
     return int(seed_sequence(base_seed, trial, _TIE_SIDE).generate_state(1, np.uint64)[0])
 
 
-def run_trials(plan: TrialPlan, block_size: int = 64) -> PValueStats:
+def _crossmatch_trials(plan: TrialPlan, side0: Callable[[range], np.ndarray],
+                       block_size: int) -> PValueStats:
+    """The block loop shared by run_trials and the sweeps.
+
+    side0(trials) returns side 0 of a block of trials; side 1 is drawn here,
+    block by block.
+    """
+    p_values = np.empty(plan.num_trials)
+    for trials in _trial_blocks(plan.num_trials, block_size):
+        xs = side0(trials)
+        ys = _side_samples(plan.sampler_b, plan, 1, trials)
+        for row, trial in enumerate(trials):
+            outcome = crossmatch_test(xs[row], ys[row], method=plan.matching,
+                                      tie_seed=tie_seed_for_trial(plan.base_seed, trial))
+            p_values[trial] = outcome.p_value
+    return pvalue_stats(p_values)
+
+
+def run_trials(plan: TrialPlan, block_size: int = _BLOCK_SIZE) -> PValueStats:
     """Run every trial of the plan and aggregate the Crossmatch p-values.
 
     Trial i draws side samples from streams seeded at (base_seed, i, side)
@@ -158,16 +183,8 @@ def run_trials(plan: TrialPlan, block_size: int = 64) -> PValueStats:
     stream; block_size only batches chain execution and never changes any
     result.
     """
-    p_values = np.empty(plan.num_trials)
-    for start in range(0, plan.num_trials, block_size):
-        trials = range(start, min(start + block_size, plan.num_trials))
-        xs = _side_samples(plan.sampler_a, plan, 0, trials)
-        ys = _side_samples(plan.sampler_b, plan, 1, trials)
-        for row, trial in enumerate(trials):
-            outcome = crossmatch_test(xs[row], ys[row], method=plan.matching,
-                                      tie_seed=tie_seed_for_trial(plan.base_seed, trial))
-            p_values[trial] = outcome.p_value
-    return pvalue_stats(p_values)
+    return _crossmatch_trials(
+        plan, lambda trials: _side_samples(plan.sampler_a, plan, 0, trials), block_size)
 
 
 def energy_estimate(resources: ResourceEstimate, ticks: int, em: EnergyModel) -> float:
@@ -190,20 +207,36 @@ def gibbs_ticks(settings: ChainSettings, n_per_trial: int, window: int) -> int:
     return (settings.burn_in + n_per_trial * settings.thin) * 2 * window
 
 
-def _digital_report(model: RbmModel, label: str, cfg: DigitalSamplerConfig,
-                    settings: ChainSettings, n_per_trial: int, num_trials: int,
-                    base_seed: int, em: EnergyModel, matching: str,
-                    reference: SamplerSpec) -> EpeffReport:
-    plan = TrialPlan(sampler_a=reference,
-                     sampler_b=SamplerSpec(DigitalKernel(model, cfg, base_seed), settings),
-                     n_per_trial=n_per_trial, num_trials=num_trials,
-                     base_seed=base_seed, matching=matching)
-    stats = run_trials(plan)
-    resources = resource_estimate(model.n_visible + model.n_hidden,
-                                  cfg.leak_density, em.core_size)
-    energy = energy_estimate(resources, gibbs_ticks(settings, n_per_trial, cfg.window), em)
-    return EpeffReport(label=label, mean_p=stats.mean_p, energy=energy,
-                       epeff=epeff(stats.mean_p, energy), resources=resources)
+def _sweep_reports(model: RbmModel, labeled_configs, reference: SamplerSpec,
+                   settings: ChainSettings, n_per_trial: int, num_trials: int,
+                   base_seed: int, em: EnergyModel, matching: str) -> list[EpeffReport]:
+    """EPEff reports of each (label, digital config) judged against one reference.
+
+    Every config runs under the same base_seed, so side 0 of trial i is the
+    same reference chain for all of them: it is drawn once, in run_trials'
+    blocks, and held for the whole sweep (num_trials x n_per_trial x
+    n_visible bytes).
+    """
+    plans = [TrialPlan(sampler_a=reference,
+                       sampler_b=SamplerSpec(DigitalKernel(model, cfg, base_seed), settings),
+                       n_per_trial=n_per_trial, num_trials=num_trials,
+                       base_seed=base_seed, matching=matching)
+             for _, cfg in labeled_configs]
+    xs = np.concatenate([_side_samples(reference, plans[0], 0, trials)
+                         for trials in _trial_blocks(num_trials, _BLOCK_SIZE)])
+
+    def drawn(trials: range) -> np.ndarray:
+        return xs[trials.start:trials.stop]
+
+    reports = []
+    for (label, cfg), plan in zip(labeled_configs, plans):
+        stats = _crossmatch_trials(plan, drawn, _BLOCK_SIZE)
+        resources = resource_estimate(model.n_visible + model.n_hidden,
+                                      cfg.leak_density, em.core_size)
+        energy = energy_estimate(resources, gibbs_ticks(settings, n_per_trial, cfg.window), em)
+        reports.append(EpeffReport(label=label, mean_p=stats.mean_p, energy=energy,
+                                   epeff=epeff(stats.mean_p, energy), resources=resources))
+    return reports
 
 
 def parameter_sweep(model: RbmModel, labeled_configs, settings: ChainSettings,
@@ -217,12 +250,9 @@ def parameter_sweep(model: RbmModel, labeled_configs, settings: ChainSettings,
     """
     if not labeled_configs:
         raise ValueError("no sampler configs to sweep")
-    reference = SamplerSpec(IdealKernel(model), settings)
-    reports = [
-        _digital_report(model, label, cfg, settings, n_per_trial, num_trials,
-                        base_seed, energy_model, matching, reference)
-        for label, cfg in labeled_configs
-    ]
+    reports = _sweep_reports(model, labeled_configs, SamplerSpec(IdealKernel(model), settings),
+                             settings, n_per_trial, num_trials, base_seed, energy_model,
+                             matching)
     return sorted(reports, key=lambda r: r.epeff, reverse=True)
 
 
@@ -241,9 +271,6 @@ def leak_density_sweep(model: RbmModel, cfg: DigitalSamplerConfig, densities,
         raise ValueError("no leak densities to sweep")
     reference = SamplerSpec(DigitalKernel(model, replace(cfg, leak_density=1), base_seed),
                             settings)
-    return [
-        _digital_report(model, f"ld={d}", replace(cfg, leak_density=d), settings,
-                        n_per_trial, num_trials, base_seed, energy_model, matching,
-                        reference)
-        for d in densities
-    ]
+    return _sweep_reports(model, [(f"ld={d}", replace(cfg, leak_density=d)) for d in densities],
+                          reference, settings, n_per_trial, num_trials, base_seed,
+                          energy_model, matching)

@@ -345,22 +345,30 @@ def digital_gibbs_step(model: RbmModel, state: GibbsState, cfg: DigitalSamplerCo
 
 
 def _lif_window(currents: np.ndarray, cfg: AnalogConfig, z: np.ndarray,
-                group_of_unit: np.ndarray) -> np.ndarray:
+                group_of_unit: np.ndarray | None) -> np.ndarray:
     """Spike indicator per unit after `window` Euler-Maruyama steps from reset.
 
     currents: (..., m); z: (..., window, g) standard normals, shared within
-    noise groups. Spiking resets the membrane to v_reset and is latched.
+    noise groups (group_of_unit None: g == m, unit i reads column i).
+    Spiking resets the membrane to v_reset and is latched.
     """
     decay = 1.0 - cfg.g_leak * cfg.dt / cfg.capacitance
     drive = (cfg.dt / cfg.capacitance) * currents
     noise_gain = (cfg.noise_sigma / cfg.capacitance) * math.sqrt(cfg.dt)
     u = np.full(currents.shape, cfg.v_reset, dtype=np.float64)
     spiked = np.zeros(currents.shape, dtype=bool)
+    hit = np.empty(currents.shape, dtype=bool)
+    noise = np.empty(currents.shape, dtype=np.float64)
     for w in range(z.shape[-2]):
-        u = u * decay + drive + noise_gain * z[..., w, group_of_unit]
-        hit = u >= cfg.threshold
+        zw = z[..., w, :] if group_of_unit is None else z[..., w, group_of_unit]
+        # u * decay + drive + gain * z, in that order, without temporaries
+        np.multiply(noise_gain, zw, out=noise)
+        u *= decay
+        u += drive
+        u += noise
+        np.greater_equal(u, cfg.threshold, out=hit)
         spiked |= hit
-        u = np.where(hit, cfg.v_reset, u)
+        np.putmask(u, hit, cfg.v_reset)
     return spiked
 
 
@@ -376,7 +384,7 @@ def analog_lif_sample(input_current, cfg: AnalogConfig, rng: np.random.Generator
         raise ValueError("input_current must be finite")
     n = 1 if size is None else int(size)
     z = rng.standard_normal((n, cfg.window, 1))
-    spikes = _lif_window(np.full((n, 1), current), cfg, z, np.zeros(1, dtype=np.int64))
+    spikes = _lif_window(np.full((n, 1), current), cfg, z, None)
     bits = spikes[:, 0].astype(np.uint8)
     return int(bits[0]) if size is None else bits
 
@@ -389,10 +397,12 @@ class AnalogKernel:
         self.cfg = cfg
         self.label = cfg.label()
         self.n_visible = model.n_visible
-        self._g_h = _consecutive_groups(model.n_hidden, cfg.noise_density, None)
-        self._g_v = _consecutive_groups(model.n_visible, cfg.noise_density, None)
-        self._ng_h = int(self._g_h.max()) + 1
-        self._ng_v = int(self._g_v.max()) + 1
+        nd, nh, nv = cfg.noise_density, model.n_hidden, model.n_visible
+        # At noise density 1 every unit has its own noise source: no gather.
+        self._g_h = _consecutive_groups(nh, nd, None) if nd > 1 else None
+        self._g_v = _consecutive_groups(nv, nd, None) if nd > 1 else None
+        self._ng_h = -(-nh // nd)
+        self._ng_v = -(-nv // nd)
         self.n_uniforms_per_step = 0
         # Per-step normal layout: hidden noise then visible noise.
         self.n_normals_per_step = cfg.window * (self._ng_h + self._ng_v)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gibbsmatch import chains
 from gibbsmatch.chains import BernoulliKernel, IdealKernel, run_chain, run_chains
 from gibbsmatch.rbm import ChainSettings, random_model
 from gibbsmatch.rng import derive_rng
@@ -49,12 +50,17 @@ def manual_flip_chain(settings, seed, path):
     return np.array(out)
 
 
-def test_engine_matches_manual_loop_across_chunk_boundaries():
-    # 220 total steps forces several 64-step chunks plus a short tail
+def test_engine_matches_manual_loop_across_chunk_boundaries(monkeypatch):
+    # 220 total steps: three 64-step chunks and a 28-step tail; then, with the
+    # byte target clipping 3 chains' chunk to 7 steps (120 bytes a step), 31
+    # reuses of the draw buffers and a 3-step tail
     cs = ChainSettings(n_samples=40, burn_in=100, thin=3)
-    got = run_chains(FlipKernel(), cs, seed=5, paths=[(0,), (9,)])
-    for c, path in enumerate([(0,), (9,)]):
-        np.testing.assert_array_equal(got[c], manual_flip_chain(cs, 5, path))
+    paths = [(0,), (9,), (4, 1)]
+    for target in (chains._CHUNK_TARGET_BYTES, 7 * 8 * len(paths) * 5):
+        monkeypatch.setattr(chains, "_CHUNK_TARGET_BYTES", target)
+        got = run_chains(FlipKernel(), cs, seed=5, paths=paths)
+        for c, path in enumerate(paths):
+            np.testing.assert_array_equal(got[c], manual_flip_chain(cs, 5, path))
 
 
 def test_chunking_is_invisible():

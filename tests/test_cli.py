@@ -256,6 +256,39 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "bogus" in err[-1]["message"]
 
 
+@pytest.mark.parametrize("command, sections, field", [
+    ("null-check", {"chain": {"burn_in": "10"}}, "chain.burn_in"),
+    ("sweep-leak", {"chain": {"burn_in": "10"}}, "chain.burn_in"),
+    ("null-check", {"model": {"kind": "random", "n_visible": 16.5, "n_hidden": 4,
+                              "sigma": 0.4}}, "model.n_visible"),
+    ("null-check", {"sampler_a": {"kind": "analog", "window": 2.5}}, "sampler_a.window"),
+    ("null-check", {"sampler_a": {"kind": "bernoulli", "rate": "0.5", "n_bits": 4}},
+     "sampler_a.rate"),
+    ("sweep-leak", {"sweep": {"densities": "ab"}}, "sweep.densities"),
+    ("sweep-leak", {"energy": {"e_active": "1"}}, "energy.e_active"),
+    ("null-check", {"trials": {"num_trials": True}}, "trials.num_trials"),
+    ("sweep-leak", {"sampler_b": {"kind": "digital", "window": 1, "threshold": 0,
+                                  "threshold_bits": 8, "leak": 0, "scale": 50,
+                                  "random_groups": 1}}, "sampler_b.random_groups"),
+    ("sweep-params", {"sweep": {"configs": 5}}, "sweep.configs"),
+    ("null-check", {"model": {"kind": ["random"]}}, "model.kind"),
+])
+def test_wrong_typed_config_value_exits_2(tmp_path, capsys, command, sections, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(sections))
+    rc = main([command, "--seed", "1", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = stderr_events(capsys)[-1]
+    assert err["error"] == "ConfigError"
+    assert err["message"].startswith(field)
+
+
+def test_numbers_accepted_where_reals_are_expected():
+    validate_run_config({"energy": {"e_active": 2, "e_core_static": 0.5},
+                         "sampler_a": {"kind": "bernoulli", "rate": 1, "n_bits": 3},
+                         "sweep": {"densities": [], "configs": []}})
+
+
 def test_missing_seed_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["null-check"])

@@ -12,7 +12,7 @@ from gibbsmatch.harness import (HISTOGRAM_EDGES, EnergyModel, EpeffReport,
                                 energy_estimate, epeff, gibbs_ticks,
                                 leak_density_sweep, parameter_sweep,
                                 pvalue_stats, run_trials, tie_seed_for_trial)
-from gibbsmatch.neuro import DigitalSamplerConfig, resource_estimate
+from gibbsmatch.neuro import DigitalKernel, DigitalSamplerConfig, resource_estimate
 from gibbsmatch.rbm import ChainSettings, random_model
 from gibbsmatch.rng import derive_rng
 
@@ -259,6 +259,65 @@ def test_leak_density_sweep_rejects_empty():
     model = random_model(4, 2, 0.4, seed=0)
     with pytest.raises(ValueError):
         leak_density_sweep(model, sweep_cfg(), [], QUICK, base_seed=1)
+
+
+def per_config_reports(model, reference, labeled_configs, settings, n_per_trial,
+                       num_trials, base_seed, em=EnergyModel()):
+    """Reports built by one run_trials per config, each drawing its own side 0."""
+    reports = []
+    for label, cfg in labeled_configs:
+        plan = TrialPlan(sampler_a=reference,
+                         sampler_b=SamplerSpec(DigitalKernel(model, cfg, base_seed), settings),
+                         n_per_trial=n_per_trial, num_trials=num_trials, base_seed=base_seed)
+        mean_p = run_trials(plan).mean_p
+        resources = resource_estimate(model.n_visible + model.n_hidden, cfg.leak_density,
+                                      em.core_size)
+        energy = energy_estimate(resources, gibbs_ticks(settings, n_per_trial, cfg.window), em)
+        reports.append(EpeffReport(label=label, mean_p=mean_p, energy=energy,
+                                   epeff=epeff(mean_p, energy), resources=resources))
+    return reports
+
+
+def spy_chain_paths(monkeypatch) -> list:
+    """Record every (trial, side) path the harness hands to run_chains."""
+    paths = []
+    real = harness.run_chains
+
+    def spy(kernel, settings, seed, chain_paths):
+        paths.extend(chain_paths)
+        return real(kernel, settings, seed, chain_paths)
+
+    monkeypatch.setattr(harness, "run_chains", spy)
+    return paths
+
+
+@pytest.mark.parametrize("sweep", ["parameter", "leak_density"])
+def test_sweep_samples_reference_side_once(monkeypatch, sweep):
+    model = random_model(6, 3, 0.4, seed=303)
+    num_trials, n_per_trial, base_seed = 66, 6, 77  # two trial blocks, the second short
+    if sweep == "parameter":
+        configs = [("a", sweep_cfg()), ("b", sweep_cfg(threshold=-60)),
+                   ("c", sweep_cfg(window=2, threshold=0, leak=40))]
+        reference = SamplerSpec(IdealKernel(model), QUICK)
+        expected = sorted(per_config_reports(model, reference, configs, QUICK, n_per_trial,
+                                             num_trials, base_seed),
+                          key=lambda r: r.epeff, reverse=True)
+        run = lambda: parameter_sweep(model, configs, QUICK, n_per_trial=n_per_trial,
+                                      num_trials=num_trials, base_seed=base_seed)
+    else:
+        densities = [1, 2, 5]
+        configs = [(f"ld={d}", sweep_cfg(leak_density=d)) for d in densities]
+        reference = SamplerSpec(DigitalKernel(model, sweep_cfg(), base_seed), QUICK)
+        expected = per_config_reports(model, reference, configs, QUICK, n_per_trial,
+                                      num_trials, base_seed)
+        run = lambda: leak_density_sweep(model, sweep_cfg(), densities, QUICK,
+                                         n_per_trial=n_per_trial, num_trials=num_trials,
+                                         base_seed=base_seed)
+    paths = spy_chain_paths(monkeypatch)
+    assert run() == expected
+    assert [p for p in paths if p[1] == 0] == [(t, 0) for t in range(num_trials)]
+    assert sorted(p for p in paths if p[1] == 1) == sorted(
+        (t, 1) for t in range(num_trials) for _ in configs)
 
 
 def test_tie_seed_is_stable():

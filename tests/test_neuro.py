@@ -345,6 +345,48 @@ def test_analog_chain_deterministic_and_labeled():
     assert "nd=3" in AnalogConfig(noise_density=3).label()
 
 
+def manual_lif_window(currents, cfg, z):
+    """The LIF window as plain array expressions; z holds one (m,) noise row per tick."""
+    decay = 1.0 - cfg.g_leak * cfg.dt / cfg.capacitance
+    drive = (cfg.dt / cfg.capacitance) * currents
+    gain = (cfg.noise_sigma / cfg.capacitance) * math.sqrt(cfg.dt)
+    u = np.full(currents.shape, cfg.v_reset)
+    spiked = np.zeros(currents.shape, dtype=bool)
+    for zw in z:
+        u = u * decay + drive + gain * zw
+        hit = u >= cfg.threshold
+        spiked |= hit
+        u = np.where(hit, cfg.v_reset, u)
+    return spiked.astype(np.float64)
+
+
+@pytest.mark.parametrize("density", [1, 2])
+def test_analog_chain_matches_manual_steps(density):
+    """Replay an analog chain: normals (seed, 2) per step, hidden noise then visible."""
+    model = random_model(5, 4, 0.8, seed=21)
+    cfg = AnalogConfig(noise_density=density)
+    cs = ChainSettings(n_samples=30, burn_in=10, thin=2)
+    batch = run_chain(AnalogKernel(model, cfg), cs, seed=17)
+
+    w = cfg.window
+    g_h, g_v = np.arange(4) // density, np.arange(5) // density
+    v = (derive_rng(17, 0).random((1, 5)) < 0.5).astype(np.float64)
+    z_rng = derive_rng(17, 2)
+    recorded = []
+    for step in range(1, cs.total_steps + 1):
+        z = z_rng.standard_normal(w * (g_h[-1] + 1 + g_v[-1] + 1))
+        z_h, z_v = z[:w * (g_h[-1] + 1)], z[w * (g_h[-1] + 1):]
+        h = manual_lif_window(v @ model.W + model.b_h, cfg, z_h.reshape(w, 1, -1)[..., g_h])
+        v = manual_lif_window(h @ model.W.T + model.b_v, cfg,
+                              z_v.reshape(w, 1, -1)[..., g_v])
+        done = step - cs.burn_in
+        if done > 0 and done % cs.thin == 0 and len(recorded) < cs.n_samples:
+            recorded.append(v[0].astype(np.uint8))
+    expected = np.array(recorded)
+    assert 0 < expected.mean() < 1
+    np.testing.assert_array_equal(batch.samples, expected)
+
+
 # --- resource accounting ----------------------------------------------------------------
 
 def test_resource_estimate_worked_examples():
