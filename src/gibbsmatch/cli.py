@@ -13,7 +13,7 @@ the same inputs are byte-identical. Commands read an optional JSON run
 config (--config); unknown keys anywhere in it are rejected. Long-running
 commands announce a {"event": "start", ...} line on stderr before the main
 loop; failures print one {"error": ..., "message": ...} JSON line on stderr
-and exit nonzero.
+and exit 2.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ def _default_config() -> dict:
         "chain": {"burn_in": 1000, "thin": 10, "init": "random-uniform"},
         "sampler_a": {"kind": "ideal"},
         "sampler_b": {"kind": "ideal"},
-        "trials": {"num_trials": 2000, "n_per_trial": 50, "matching": "auto"},
+        "trials": {"num_trials": 2000, "n_per_trial": 50},
         "energy": {"e_active": 1.0, "e_core_static": 10.0, "core_size": 256},
         "sweep": {},
         "out_dir": ".",
@@ -146,6 +146,12 @@ def validate_run_config(user: dict) -> None:
             _check_kinded(user[side], _SAMPLER_KEYS, side)
     if "trials" in user:
         _check_fields(user["trials"], _TRIALS_KEYS, "trials")
+        # Every test uses the exact matching; for one release the retired key
+        # may still name it, and then has no effect.
+        matching = user["trials"].get("matching", "auto")
+        if matching not in ("auto", "optimal"):
+            raise ConfigError("trials.matching has no effect and may only be 'auto' or "
+                              f"'optimal', got {matching!r}")
     if "energy" in user:
         _check_fields(user["energy"], _ENERGY_KEYS, "energy")
     if "sweep" in user:
@@ -242,14 +248,12 @@ def _energy_from_config(cfg: dict) -> EnergyModel:
     return EnergyModel(**cfg["energy"])
 
 
-def _trial_fields(cfg: dict, args) -> tuple[int, int, str]:
+def _trial_fields(cfg: dict, args) -> tuple[int, int]:
     t = cfg["trials"]
     num_trials = getattr(args, "trials", None)
     n_per_trial = getattr(args, "n_per_trial", None)
-    matching = getattr(args, "matching", None)
     return (num_trials if num_trials is not None else t["num_trials"],
-            n_per_trial if n_per_trial is not None else t["n_per_trial"],
-            matching if matching is not None else t["matching"])
+            n_per_trial if n_per_trial is not None else t["n_per_trial"])
 
 
 def _out_dir(cfg: dict, args) -> Path:
@@ -290,7 +294,7 @@ def cmd_train(args) -> int:
 def cmd_sample(args) -> int:
     cfg = load_run_config(args.config)
     out = _out_dir(cfg, args)
-    _, n_per_trial, _ = _trial_fields(cfg, args)
+    _, n_per_trial = _trial_fields(cfg, args)
     spec = _sampler_from_config(cfg, args.seed, n_per_trial)
     path = out / "samples.txt"
     save_samples(run_chain(spec.kernel, spec.settings, args.seed), path)
@@ -302,7 +306,7 @@ def cmd_test(args) -> int:
     from .crossmatch import crossmatch_test
     x = load_samples(args.samples_a)
     y = load_samples(args.samples_b)
-    outcome = crossmatch_test(x, y, method=args.matching or "auto", tie_seed=args.seed)
+    outcome = crossmatch_test(x, y, tie_seed=args.seed)
     doc = outcome_json(outcome)
     sys.stdout.write(doc)
     if args.out is not None:
@@ -322,7 +326,7 @@ def _sweep_configs(cfg: dict) -> list[tuple[str, DigitalSamplerConfig]]:
 def cmd_sweep_params(args) -> int:
     cfg = load_run_config(args.config)
     out = _out_dir(cfg, args)
-    num_trials, n_per_trial, matching = _trial_fields(cfg, args)
+    num_trials, n_per_trial = _trial_fields(cfg, args)
     model = _model_from_config(cfg, args.seed)
     settings = _settings_from_config(cfg, n_per_trial)
     configs = _sweep_configs(cfg)
@@ -330,7 +334,7 @@ def cmd_sweep_params(args) -> int:
               n_per_trial=n_per_trial)
     reports = parameter_sweep(model, configs, settings, n_per_trial=n_per_trial,
                               num_trials=num_trials, base_seed=args.seed,
-                              energy_model=_energy_from_config(cfg), matching=matching)
+                              energy_model=_energy_from_config(cfg))
     _emit(out / "sweep_params.csv", sweep_csv(reports))
     _emit(out / "epeff_bars.svg",
           svg_bar_chart([r.label for r in reports], [r.epeff for r in reports],
@@ -341,7 +345,7 @@ def cmd_sweep_params(args) -> int:
 def cmd_sweep_leak(args) -> int:
     cfg = load_run_config(args.config)
     out = _out_dir(cfg, args)
-    num_trials, n_per_trial, matching = _trial_fields(cfg, args)
+    num_trials, n_per_trial = _trial_fields(cfg, args)
     model = _model_from_config(cfg, args.seed)
     settings = _settings_from_config(cfg, n_per_trial)
     densities = cfg["sweep"].get("densities") or list(DEFAULT_DENSITIES)
@@ -351,7 +355,7 @@ def cmd_sweep_leak(args) -> int:
     reports = leak_density_sweep(model, base, densities, settings,
                                  n_per_trial=n_per_trial, num_trials=num_trials,
                                  base_seed=args.seed,
-                                 energy_model=_energy_from_config(cfg), matching=matching)
+                                 energy_model=_energy_from_config(cfg))
     labels = [str(d) for d in densities]
     _emit(out / "sweep_leak.csv", sweep_csv(reports))
     _emit(out / "leak_mean_p.svg",
@@ -366,10 +370,10 @@ def cmd_sweep_leak(args) -> int:
 def cmd_null_check(args) -> int:
     cfg = load_run_config(args.config)
     out = _out_dir(cfg, args)
-    num_trials, n_per_trial, matching = _trial_fields(cfg, args)
+    num_trials, n_per_trial = _trial_fields(cfg, args)
     spec = _sampler_from_config(cfg, args.seed, n_per_trial)
     plan = TrialPlan(sampler_a=spec, sampler_b=spec, n_per_trial=n_per_trial,
-                     num_trials=num_trials, base_seed=args.seed, matching=matching)
+                     num_trials=num_trials, base_seed=args.seed)
     _announce("null-check", num_trials=num_trials, n_per_trial=n_per_trial,
               sampler=spec.label())
     stats = run_trials(plan)
@@ -382,8 +386,7 @@ def cmd_null_check(args) -> int:
 
 # --- argument parsing --------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, *, config=True, out=True, trials=True,
-                matching=True) -> None:
+def _add_common(p: argparse.ArgumentParser, *, config=True, out=True, trials=True) -> None:
     p.add_argument("--seed", type=int, required=True,
                    help="master seed; controls every random draw")
     if config:
@@ -394,10 +397,6 @@ def _add_common(p: argparse.ArgumentParser, *, config=True, out=True, trials=Tru
         p.add_argument("--trials", type=int, metavar="N", help="number of trials")
         p.add_argument("--n-per-trial", type=int, metavar="N",
                        help="samples per group per trial")
-    if matching:
-        p.add_argument("--matching", choices=["optimal", "greedy"],
-                       help="matching method (default: optimal, the exact minimum-weight "
-                            "matching at every size; greedy's p-value is not exact)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -407,11 +406,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="fit an RBM with CD-1 and save it")
-    _add_common(p, trials=False, matching=False)
+    _add_common(p, trials=False)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("sample", help="run one sampler chain and dump samples")
-    _add_common(p, matching=False)
+    _add_common(p)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("test", help="Crossmatch test between two sample dumps")

@@ -4,8 +4,7 @@ Pools the two groups, builds the Hamming distance matrix, finds a
 minimum-weight perfect matching, and counts cross-group pairs. Under the
 null that both groups share one distribution, the cross count A of a
 minimum-weight matching has a known closed-form distribution; small A is
-evidence the groups differ, and the p-value is the lower tail F(a_obs). A
-greedy matcher stays selectable; its p-value is not exact.
+evidence the groups differ, and the p-value is the lower tail F(a_obs).
 
 Binary data has heavily tied distances, so every unordered pair receives a
 seeded jitter drawn from U(0, 0.4/n). Any perfect matching sums exactly n
@@ -39,7 +38,6 @@ __all__ = [
     "DistanceMatrix",
     "Matching",
     "CrossmatchOutcome",
-    "hamming",
     "pairwise_distances",
     "optimal_matching",
     "greedy_matching",
@@ -126,16 +124,6 @@ class CrossmatchOutcome:
             raise ValueError(f"a_obs={self.a_obs} has wrong parity for n={self.n}")
         if not 0.0 < self.p_value <= 1.0:
             raise ValueError(f"p_value={self.p_value} outside (0, 1]")
-
-
-def hamming(z, z2) -> int:
-    """Number of differing coordinates between two equal-length bit vectors."""
-    a = np.asarray(z, dtype=np.uint8).ravel()
-    b = np.asarray(z2, dtype=np.uint8).ravel()
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.size} vs {b.size}")
-    packed = np.packbits(a ^ b)
-    return int(np.bitwise_count(packed).sum())
 
 
 def pairwise_distances(X, Y) -> DistanceMatrix:
@@ -366,22 +354,14 @@ def p_value(a_obs: int, n: int) -> float:
     return float(cdf[a_obs] / cdf[-1])
 
 
-def crossmatch_test(X, Y, method: str = "auto", tie_seed: int = 0) -> CrossmatchOutcome:
+def crossmatch_test(X, Y, *, tie_seed: int = 0) -> CrossmatchOutcome:
     """Run the Crossmatch test between two equal-size binary sample batches.
 
-    method: "optimal" (also "auto") or "greedy". The closed-form null is
-    exact only for the optimal matching; greedy calibration is checked
-    empirically.
+    The matching is always the minimum-weight one, for which the closed-form
+    null is exact.
     """
     D = pairwise_distances(X, Y)
-    if method == "auto":
-        method = "optimal"
-    if method == "optimal":
-        m = optimal_matching(D, tie_seed)
-    elif method == "greedy":
-        m = greedy_matching(D, tie_seed)
-    else:
-        raise ValueError(f"unknown matching method: {method!r}")
+    m = optimal_matching(D, tie_seed)
     a = cross_count(m, D.n)
     return CrossmatchOutcome(n=D.n, a_obs=a, p_value=p_value(a, D.n),
-                             method=method, matching=m)
+                             method=m.method, matching=m)

@@ -69,15 +69,12 @@ class TrialPlan:
     n_per_trial: int
     num_trials: int
     base_seed: int
-    matching: str = "auto"
 
     def __post_init__(self):
         if self.n_per_trial < 2:
             raise ValueError(f"n_per_trial must be >= 2, got {self.n_per_trial}")
         if self.num_trials < 1:
             raise ValueError(f"num_trials must be >= 1, got {self.num_trials}")
-        if self.matching not in ("auto", "optimal", "greedy"):
-            raise ValueError(f"unknown matching method: {self.matching!r}")
 
 
 @dataclass(frozen=True)
@@ -169,7 +166,7 @@ def _crossmatch_trials(plan: TrialPlan, side0: Callable[[range], np.ndarray],
         xs = side0(trials)
         ys = _side_samples(plan.sampler_b, plan, 1, trials)
         for row, trial in enumerate(trials):
-            outcome = crossmatch_test(xs[row], ys[row], method=plan.matching,
+            outcome = crossmatch_test(xs[row], ys[row],
                                       tie_seed=tie_seed_for_trial(plan.base_seed, trial))
             p_values[trial] = outcome.p_value
     return pvalue_stats(p_values)
@@ -209,7 +206,7 @@ def gibbs_ticks(settings: ChainSettings, n_per_trial: int, window: int) -> int:
 
 def _sweep_reports(model: RbmModel, labeled_configs, reference: SamplerSpec,
                    settings: ChainSettings, n_per_trial: int, num_trials: int,
-                   base_seed: int, em: EnergyModel, matching: str) -> list[EpeffReport]:
+                   base_seed: int, em: EnergyModel) -> list[EpeffReport]:
     """EPEff reports of each (label, digital config) judged against one reference.
 
     Every config runs under the same base_seed, so side 0 of trial i is the
@@ -220,7 +217,7 @@ def _sweep_reports(model: RbmModel, labeled_configs, reference: SamplerSpec,
     plans = [TrialPlan(sampler_a=reference,
                        sampler_b=SamplerSpec(DigitalKernel(model, cfg, base_seed), settings),
                        n_per_trial=n_per_trial, num_trials=num_trials,
-                       base_seed=base_seed, matching=matching)
+                       base_seed=base_seed)
              for _, cfg in labeled_configs]
     xs = np.concatenate([_side_samples(reference, plans[0], 0, trials)
                          for trials in _trial_blocks(num_trials, _BLOCK_SIZE)])
@@ -241,8 +238,7 @@ def _sweep_reports(model: RbmModel, labeled_configs, reference: SamplerSpec,
 
 def parameter_sweep(model: RbmModel, labeled_configs, settings: ChainSettings,
                     *, n_per_trial: int = 50, num_trials: int = 200, base_seed: int,
-                    energy_model: EnergyModel = EnergyModel(),
-                    matching: str = "auto") -> list[EpeffReport]:
+                    energy_model: EnergyModel = EnergyModel()) -> list[EpeffReport]:
     """Ideal-vs-digital EPEff reports for each (label, config), best EPEff first.
 
     Every config is evaluated under the same base_seed, so identical configs
@@ -251,16 +247,14 @@ def parameter_sweep(model: RbmModel, labeled_configs, settings: ChainSettings,
     if not labeled_configs:
         raise ValueError("no sampler configs to sweep")
     reports = _sweep_reports(model, labeled_configs, SamplerSpec(IdealKernel(model), settings),
-                             settings, n_per_trial, num_trials, base_seed, energy_model,
-                             matching)
+                             settings, n_per_trial, num_trials, base_seed, energy_model)
     return sorted(reports, key=lambda r: r.epeff, reverse=True)
 
 
 def leak_density_sweep(model: RbmModel, cfg: DigitalSamplerConfig, densities,
                        settings: ChainSettings, *, n_per_trial: int = 50,
                        num_trials: int = 200, base_seed: int,
-                       energy_model: EnergyModel = EnergyModel(),
-                       matching: str = "auto") -> list[EpeffReport]:
+                       energy_model: EnergyModel = EnergyModel()) -> list[EpeffReport]:
     """EPEff across leak densities, judged against the density-1 sampler.
 
     The reference side is the same digital config at leak_density=1; reports
@@ -273,4 +267,4 @@ def leak_density_sweep(model: RbmModel, cfg: DigitalSamplerConfig, densities,
                             settings)
     return _sweep_reports(model, [(f"ld={d}", replace(cfg, leak_density=d)) for d in densities],
                           reference, settings, n_per_trial, num_trials, base_seed,
-                          energy_model, matching)
+                          energy_model)

@@ -14,8 +14,9 @@ size (or a seeded permutation of the layer when `random_groups` is set);
 within a block all units see the same leak coin at each window iteration.
 
 The analog neuron integrates  C du/dt = -g_L u + I + sigma * xi(t)  by
-Euler-Maruyama, spiking and resetting at a fixed threshold; noise draws can
-likewise be shared across `noise_density`-sized unit groups.
+Euler-Maruyama from v_reset, and its sample is 1 iff the potential reaches a
+fixed threshold within the window; noise draws can likewise be shared across
+`noise_density`-sized unit groups.
 """
 
 from __future__ import annotations
@@ -346,11 +347,12 @@ def digital_gibbs_step(model: RbmModel, state: GibbsState, cfg: DigitalSamplerCo
 
 def _lif_window(currents: np.ndarray, cfg: AnalogConfig, z: np.ndarray,
                 group_of_unit: np.ndarray | None) -> np.ndarray:
-    """Spike indicator per unit after `window` Euler-Maruyama steps from reset.
+    """Spike indicator per unit after `window` Euler-Maruyama steps from v_reset.
 
     currents: (..., m); z: (..., window, g) standard normals, shared within
     noise groups (group_of_unit None: g == m, unit i reads column i).
-    Spiking resets the membrane to v_reset and is latched.
+    The first spike is latched, so the membrane is never reset: what it does
+    after a spike cannot change the output.
     """
     decay = 1.0 - cfg.g_leak * cfg.dt / cfg.capacitance
     drive = (cfg.dt / cfg.capacitance) * currents
@@ -368,7 +370,6 @@ def _lif_window(currents: np.ndarray, cfg: AnalogConfig, z: np.ndarray,
         u += noise
         np.greater_equal(u, cfg.threshold, out=hit)
         spiked |= hit
-        np.putmask(u, hit, cfg.v_reset)
     return spiked
 
 

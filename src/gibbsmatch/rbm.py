@@ -31,7 +31,6 @@ __all__ = [
     "energy",
     "log_partition_exact",
     "exact_visible_marginal",
-    "sigmoid_prob",
     "hidden_activation_probs",
     "visible_activation_probs",
     "gibbs_step",
@@ -260,15 +259,6 @@ def exact_visible_marginal(model: RbmModel) -> np.ndarray:
     logw -= logsumexp(logw)
     p = np.exp(logw)
     return p / p.sum()
-
-
-def sigmoid_prob(net_input):
-    """Activation probability 1 / (1 + exp(-net_input)), clamped to [0, 1]."""
-    x = np.asarray(net_input, dtype=np.float64)
-    if not np.isfinite(x).all():
-        raise ValueError("net_input must be finite")
-    p = np.clip(expit(x), 0.0, 1.0)
-    return float(p) if np.isscalar(net_input) or x.ndim == 0 else p
 
 
 def hidden_activation_probs(model: RbmModel, v: np.ndarray) -> np.ndarray:

@@ -133,20 +133,6 @@ def test_identical_dumps_test_at_p_one(tmp_path, capsys):
     assert on_disk == doc
 
 
-def test_test_subcommand_matching_override(tmp_path, capsys):
-    cfg = write_cfg(tmp_path)
-    main(["sample", "--seed", "6", "--config", cfg, "--out", str(tmp_path / "a")])
-    main(["sample", "--seed", "7", "--config", cfg, "--out", str(tmp_path / "b")])
-    capsys.readouterr()
-    rc = main(["test", str(tmp_path / "a" / "samples.txt"),
-               str(tmp_path / "b" / "samples.txt"), "--seed", "1",
-               "--matching", "greedy"])
-    assert rc == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["method"] == "greedy"
-    assert 0.0 < doc["p_value"] <= 1.0
-
-
 def test_train_then_sample_from_file(tmp_path, capsys):
     cfg = write_cfg(tmp_path,
                     model={"kind": "train", "n_hidden": 4, "epochs": 2},
@@ -235,11 +221,32 @@ def test_trial_flags_override_config(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "o"
     rc = main(["null-check", "--seed", "1", "--config", cfg, "--out", str(out),
-               "--trials", "2", "--n-per-trial", "6", "--matching", "greedy"])
+               "--trials", "2", "--n-per-trial", "6"])
     assert rc == 0
     doc = json.loads((out / "null_check.json").read_text())
     assert doc["num_trials"] == 2
     assert doc["n_per_trial"] == 6
+
+
+@pytest.mark.parametrize("matching", ["auto", "optimal"])
+def test_retired_matching_key_has_no_effect(tmp_path, matching):
+    def null_check(name, **trials):
+        cfg = write_cfg(tmp_path, name=f"{name}.json",
+                        trials={"num_trials": 3, "n_per_trial": 8, **trials})
+        out = tmp_path / name
+        assert main(["null-check", "--seed", "4", "--config", cfg, "--out", str(out)]) == 0
+        return [(out / f).read_bytes() for f in ("null_check.json", "null_check.csv")]
+
+    assert null_check(matching, matching=matching) == null_check("without")
+
+
+@pytest.mark.parametrize("argv", [
+    ["test", "a.txt", "b.txt"], ["null-check"], ["sweep-params"], ["sweep-leak"]])
+def test_matching_flag_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "1", "--matching", "optimal"])
+    assert exc.value.code == 2
+    assert "--matching" in capsys.readouterr().err
 
 
 # --- failure modes ---------------------------------------------------------------------
@@ -272,6 +279,8 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
                                   "random_groups": 1}}, "sampler_b.random_groups"),
     ("sweep-params", {"sweep": {"configs": 5}}, "sweep.configs"),
     ("null-check", {"model": {"kind": ["random"]}}, "model.kind"),
+    # the retired key takes no value that would select another matcher
+    ("null-check", {"trials": {"matching": "greedy"}}, "trials.matching"),
 ])
 def test_wrong_typed_config_value_exits_2(tmp_path, capsys, command, sections, field):
     path = tmp_path / "bad.json"

@@ -17,8 +17,7 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 
 from gibbsmatch.crossmatch import (CrossmatchOutcome, DistanceMatrix, Matching,
                                    cross_count, crossmatch_test, greedy_matching,
-                                   hamming, null_pmf, optimal_matching, p_value,
-                                   pairwise_distances)
+                                   null_pmf, optimal_matching, p_value, pairwise_distances)
 from gibbsmatch.rbm import ChainSettings, SampleBatch
 from gibbsmatch.rng import derive_rng
 from matching_oracle import milp_pairs
@@ -40,26 +39,15 @@ def all_perfect_matchings(indices):
             yield [(first, indices[k])] + tail
 
 
-# --- hamming and distances -----------------------------------------------------
-
-def test_hamming_examples():
-    assert hamming([0, 1, 1, 0], [1, 1, 0, 0]) == 2
-    assert hamming([1] * 9, [1] * 9) == 0
-    assert hamming([0] * 9, [1] * 9) == 9
-
-
-def test_hamming_length_mismatch():
-    with pytest.raises(ValueError):
-        hamming([0, 1], [0, 1, 1])
-
+# --- hamming distances ---------------------------------------------------------
 
 @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=200))
 @hyp_settings(max_examples=40)
 def test_hamming_matches_naive(seed, length):
     rng = derive_rng(seed)
-    a = (rng.random(length) < 0.5).astype(np.uint8)
-    b = (rng.random(length) < 0.5).astype(np.uint8)
-    assert hamming(a, b) == int((a != b).sum())
+    a = (rng.random((1, length)) < 0.5).astype(np.uint8)
+    b = (rng.random((1, length)) < 0.5).astype(np.uint8)
+    assert pairwise_distances(a, b).entries[0, 1] == int((a != b).sum())
 
 
 def test_pairwise_distances_matches_loops():
@@ -362,7 +350,7 @@ def test_separated_clusters_reach_the_floor():
     Y = np.ones((6, 16), dtype=np.uint8)
     X[:, :3] = rng.random((6, 3)) < 0.5
     Y[:, :3] = rng.random((6, 3)) < 0.5
-    out = crossmatch_test(X, Y, method="optimal", tie_seed=0)
+    out = crossmatch_test(X, Y, tie_seed=0)
     assert out.a_obs == 0
     assert out.p_value == pytest.approx(float(null_pmf(6)[0]), abs=1e-15)
 
@@ -371,28 +359,26 @@ def test_separated_clusters_odd_n():
     # with an odd group size one crossing is forced
     X = np.zeros((5, 12), dtype=np.uint8)
     Y = np.ones((5, 12), dtype=np.uint8)
-    out = crossmatch_test(X, Y, method="optimal", tie_seed=3)
+    out = crossmatch_test(X, Y, tie_seed=3)
     assert out.a_obs == 1
 
 
-def test_auto_method_dispatch():
+def test_exact_matching_at_every_size():
     X = random_bits(1, 10, 8)
     Y = random_bits(2, 10, 8)
     assert crossmatch_test(X, Y).method == "optimal"
-    # auto is exact at every size: at 402 pooled points greedy's total is 76
+    # exact at 402 pooled points too, where greedy's total is 76
     big_x = random_bits(3, 201, 8)
     big_y = random_bits(4, 201, 8)
     out = crossmatch_test(big_x, big_y)
     assert out.method == "optimal"
     assert out.matching.total_cost == networkx_total(pairwise_distances(big_x, big_y))
-    with pytest.raises(ValueError):
-        crossmatch_test(X, Y, method="fastest")
 
 
 def test_outcome_consistency():
     X = random_bits(11, 9, 10)
     Y = random_bits(12, 9, 10)
-    out = crossmatch_test(X, Y, method="optimal", tie_seed=5)
+    out = crossmatch_test(X, Y, tie_seed=5)
     assert out.p_value == p_value(out.a_obs, 9)
     assert out.a_obs == cross_count(out.matching, 9)
     assert out.matching.method == "optimal"
@@ -419,9 +405,9 @@ def test_row_order_does_not_bias_p_values():
         rng = derive_rng(9000, t)
         X = (rng.random((20, 16)) < 0.5).astype(np.uint8)
         Y = (rng.random((20, 16)) < 0.5).astype(np.uint8)
-        p_plain[t] = crossmatch_test(X, Y, "optimal", tie_seed=t).p_value
+        p_plain[t] = crossmatch_test(X, Y, tie_seed=t).p_value
         perm = derive_rng(9001, t)
         Xp = X[perm.permutation(20)]
         Yp = Y[perm.permutation(20)]
-        p_shuffled[t] = crossmatch_test(Xp, Yp, "optimal", tie_seed=t).p_value
+        p_shuffled[t] = crossmatch_test(Xp, Yp, tie_seed=t).p_value
     assert abs(p_plain.mean() - p_shuffled.mean()) < 0.03

@@ -89,8 +89,7 @@ def test_single_trial_equals_direct_crossmatch():
     kernel = IdealKernel(model)
     xs = run_chains(kernel, settings, plan.base_seed, [(0, 0)])[0]
     ys = run_chains(kernel, settings, plan.base_seed, [(0, 1)])[0]
-    outcome = crossmatch_test(xs, ys, method="auto",
-                              tie_seed=tie_seed_for_trial(plan.base_seed, 0))
+    outcome = crossmatch_test(xs, ys, tie_seed=tie_seed_for_trial(plan.base_seed, 0))
     assert stats.p_values[0] == outcome.p_value
 
 
@@ -153,14 +152,6 @@ def test_trial_plan_validation():
         quick_plan(n_per_trial=1)
     with pytest.raises(ValueError):
         quick_plan(num_trials=0)
-    with pytest.raises(ValueError):
-        quick_plan(matching="blossom")
-
-
-def test_matching_method_flows_through():
-    a = run_trials(quick_plan(num_trials=3, matching="greedy"))
-    b = run_trials(quick_plan(num_trials=3, matching="optimal"))
-    assert a.p_values.shape == b.p_values.shape  # both run; values may differ
 
 
 # --- energy and efficiency ---------------------------------------------------------------

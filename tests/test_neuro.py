@@ -346,24 +346,34 @@ def test_analog_chain_deterministic_and_labeled():
 
 
 def manual_lif_window(currents, cfg, z):
-    """The LIF window as plain array expressions; z holds one (m,) noise row per tick."""
+    """The LIF window as plain array expressions; z holds one (m,) noise row per tick.
+
+    Returns each unit's spike count, resetting the membrane after every
+    spike; the sample bit is count > 0, so the kernel, which latches the
+    first spike and never resets, must give the same bits.
+    """
     decay = 1.0 - cfg.g_leak * cfg.dt / cfg.capacitance
     drive = (cfg.dt / cfg.capacitance) * currents
     gain = (cfg.noise_sigma / cfg.capacitance) * math.sqrt(cfg.dt)
     u = np.full(currents.shape, cfg.v_reset)
-    spiked = np.zeros(currents.shape, dtype=bool)
+    spikes = np.zeros(currents.shape, dtype=np.int64)
     for zw in z:
         u = u * decay + drive + gain * zw
         hit = u >= cfg.threshold
-        spiked |= hit
+        spikes += hit
         u = np.where(hit, cfg.v_reset, u)
-    return spiked.astype(np.float64)
+    return spikes
 
 
-@pytest.mark.parametrize("density", [1, 2])
-def test_analog_chain_matches_manual_steps(density):
+@pytest.mark.parametrize("density, sigma", [
+    pytest.param(1, 0.8, id="1"),
+    pytest.param(2, 0.8, id="2"),
+    # units spike within a few ticks and cross the threshold again after a reset
+    pytest.param(1, 4.0, id="strong-drive"),
+])
+def test_analog_chain_matches_manual_steps(density, sigma):
     """Replay an analog chain: normals (seed, 2) per step, hidden noise then visible."""
-    model = random_model(5, 4, 0.8, seed=21)
+    model = random_model(5, 4, sigma, seed=21)
     cfg = AnalogConfig(noise_density=density)
     cs = ChainSettings(n_samples=30, burn_in=10, thin=2)
     batch = run_chain(AnalogKernel(model, cfg), cs, seed=17)
@@ -373,17 +383,23 @@ def test_analog_chain_matches_manual_steps(density):
     v = (derive_rng(17, 0).random((1, 5)) < 0.5).astype(np.float64)
     z_rng = derive_rng(17, 2)
     recorded = []
+    most_spikes = 0
     for step in range(1, cs.total_steps + 1):
         z = z_rng.standard_normal(w * (g_h[-1] + 1 + g_v[-1] + 1))
         z_h, z_v = z[:w * (g_h[-1] + 1)], z[w * (g_h[-1] + 1):]
-        h = manual_lif_window(v @ model.W + model.b_h, cfg, z_h.reshape(w, 1, -1)[..., g_h])
-        v = manual_lif_window(h @ model.W.T + model.b_v, cfg,
-                              z_v.reshape(w, 1, -1)[..., g_v])
+        spikes_h = manual_lif_window(v @ model.W + model.b_h, cfg,
+                                     z_h.reshape(w, 1, -1)[..., g_h])
+        h = (spikes_h > 0).astype(np.float64)
+        spikes_v = manual_lif_window(h @ model.W.T + model.b_v, cfg,
+                                     z_v.reshape(w, 1, -1)[..., g_v])
+        v = (spikes_v > 0).astype(np.float64)
+        most_spikes = max(most_spikes, spikes_h.max(), spikes_v.max())
         done = step - cs.burn_in
         if done > 0 and done % cs.thin == 0 and len(recorded) < cs.n_samples:
             recorded.append(v[0].astype(np.uint8))
     expected = np.array(recorded)
     assert 0 < expected.mean() < 1
+    assert most_spikes > 1  # some unit crossed again after a reset
     np.testing.assert_array_equal(batch.samples, expected)
 
 

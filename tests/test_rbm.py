@@ -17,7 +17,7 @@ from gibbsmatch.rbm import (ChainSettings, GibbsState, RbmModel, SampleBatch,
                             TrainConfig, cd1_train, energy, enumerate_states,
                             exact_visible_marginal, gibbs_step,
                             hidden_activation_probs, log_partition_exact,
-                            random_model, sigmoid_prob, state_index,
+                            random_model, state_index,
                             visible_activation_probs)
 from gibbsmatch.rng import derive_rng
 
@@ -153,7 +153,7 @@ def test_boltzmann_is_stationary_under_block_gibbs():
     np.testing.assert_allclose(pi @ T, pi, atol=1e-10)
 
 
-# --- conditionals and sigmoid --------------------------------------------------
+# --- conditionals --------------------------------------------------------------
 
 def test_activation_probs_match_direct_formula():
     m = tiny_model(seed=7)
@@ -171,24 +171,6 @@ def test_activation_probs_batched():
     out = hidden_activation_probs(m, batch)
     assert out.shape == (2, 2)
     np.testing.assert_allclose(out[0], hidden_activation_probs(m, batch[0]))
-
-
-@given(st.floats(min_value=-50, max_value=50))
-def test_sigmoid_symmetry(x):
-    assert sigmoid_prob(x) + sigmoid_prob(-x) == pytest.approx(1.0, abs=1e-12)
-    assert 0.0 <= sigmoid_prob(x) <= 1.0
-
-
-@given(st.floats(min_value=-30, max_value=29), st.floats(min_value=1e-6, max_value=1.0))
-def test_sigmoid_monotone(x, dx):
-    # non-strict: the tails saturate at float precision
-    assert sigmoid_prob(x + dx) >= sigmoid_prob(x)
-    assert sigmoid_prob(1.0) > sigmoid_prob(-1.0)
-
-
-def test_sigmoid_rejects_nan():
-    with pytest.raises(ValueError):
-        sigmoid_prob(float("nan"))
 
 
 # --- gibbs step and chains -----------------------------------------------------
