@@ -13,8 +13,7 @@ from .harness import (EnergyModel, EpeffReport, PValueStats, SamplerSpec, TrialP
                       epeff, leak_density_sweep, parameter_sweep, run_trials)
 from .neuro import (AnalogConfig, AnalogKernel, DigitalKernel, DigitalSamplerConfig,
                     ResourceEstimate, digital_spike_prob_exact, resource_estimate)
-from .rbm import (ChainSettings, GibbsState, RbmModel, SampleBatch, TrainConfig,
-                  cd1_train, energy, exact_visible_marginal, gibbs_step,
-                  log_partition_exact, random_model)
+from .rbm import (ChainSettings, RbmModel, SampleBatch, TrainConfig, cd1_train,
+                  exact_visible_marginal, log_partition_exact, random_model)
 
 __version__ = "0.1.0"

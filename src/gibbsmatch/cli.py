@@ -89,6 +89,19 @@ _SWEEP_KEYS = {"configs": _LIST, "densities": _INTS}
 _SWEEP_CONFIG_KEYS = {"label": _STR, "window": _INT, "threshold": _INT,
                       "threshold_bits": _INT, "leak": _INT, "scale": _REAL,
                       "leak_density": _INT}
+# Fields a kinded section must set, by kind (kind names differ across sections):
+# the code that reads them has no default.
+_DIGITAL_REQUIRED = ("window", "threshold", "threshold_bits", "leak", "scale")
+_REQUIRED = {
+    "random": ("n_visible", "n_hidden", "sigma"),
+    "file": ("path",),
+    "train": ("n_hidden",),
+    "synth": ("dataset", "r", "count", "noise"),
+    "idx": ("path",),
+    "digital": _DIGITAL_REQUIRED,
+    "bernoulli": ("rate", "n_bits"),
+}
+_SWEEP_CONFIG_REQUIRED = ("label",) + _DIGITAL_REQUIRED
 
 DEFAULT_DENSITIES = (2, 5, 10, 50, 100, 200, 255)
 
@@ -116,12 +129,15 @@ def _check_keys(obj, allowed, where: str) -> None:
         raise ConfigError(f"unknown key(s) {unknown} in {where}")
 
 
-def _check_fields(obj, types: dict, where: str) -> None:
-    """Reject unknown keys and values of the wrong type."""
+def _check_fields(obj, types: dict, where: str, required=()) -> None:
+    """Reject unknown keys, values of the wrong type and missing required keys."""
     _check_keys(obj, types, where)
     for key, value in obj.items():
         if not _IS_TYPE[types[key]](value):
             raise ConfigError(f"{where}.{key} must be {types[key]}, got {value!r}")
+    for key in required:
+        if key not in obj:
+            raise ConfigError(f"{where}.{key} is required")
 
 
 def _check_kinded(obj, tables, where: str) -> None:
@@ -130,7 +146,7 @@ def _check_kinded(obj, tables, where: str) -> None:
     kind = obj["kind"]
     if not isinstance(kind, str) or kind not in tables:
         raise ConfigError(f"{where}.kind must be one of {sorted(tables)}, got {kind!r}")
-    _check_fields(obj, tables[kind], where)
+    _check_fields(obj, tables[kind], where, _REQUIRED.get(kind, ()))
 
 
 def validate_run_config(user: dict) -> None:
@@ -157,7 +173,8 @@ def validate_run_config(user: dict) -> None:
     if "sweep" in user:
         _check_fields(user["sweep"], _SWEEP_KEYS, "sweep")
         for i, entry in enumerate(user["sweep"].get("configs", [])):
-            _check_fields(entry, _SWEEP_CONFIG_KEYS, f"sweep.configs[{i}]")
+            _check_fields(entry, _SWEEP_CONFIG_KEYS, f"sweep.configs[{i}]",
+                          _SWEEP_CONFIG_REQUIRED)
     if "out_dir" in user and not isinstance(user["out_dir"], str):
         raise ConfigError("out_dir must be a string")
 

@@ -31,7 +31,7 @@ from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 from scipy.sparse.csgraph import connected_components
 from scipy.special import gammaln
 
-from .rbm import SampleBatch
+from .rbm import SampleBatch, as_bits
 from .rng import derive_rng
 
 __all__ = [
@@ -55,13 +55,10 @@ _TOL = 1e-9            # reduced costs below -_TOL price a pair in
 _FRACTIONAL = 1e-6     # LP values further than this from 0 and 1 are fractional
 
 
-def _as_bits(x) -> np.ndarray:
-    arr = x.samples if isinstance(x, SampleBatch) else np.asarray(x)
-    arr = np.ascontiguousarray(arr, dtype=np.uint8)
+def _bit_rows(x) -> np.ndarray:
+    arr = as_bits(x.samples if isinstance(x, SampleBatch) else x, "samples")
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D sample array, got shape {arr.shape}")
-    if arr.size and arr.max() > 1:
-        raise ValueError("samples must be 0/1 valued")
     return arr
 
 
@@ -134,7 +131,7 @@ def pairwise_distances(X, Y) -> DistanceMatrix:
     integer no larger than the row width, which is below 2**24, so float32
     holds each one exactly.
     """
-    xb, yb = _as_bits(X), _as_bits(Y)
+    xb, yb = _bit_rows(X), _bit_rows(Y)
     if xb.shape[1] != yb.shape[1]:
         raise ValueError(f"row length mismatch: {xb.shape[1]} vs {yb.shape[1]}")
     if xb.shape[0] != yb.shape[0]:

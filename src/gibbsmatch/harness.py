@@ -144,9 +144,9 @@ def _side_samples(spec: SamplerSpec, plan: TrialPlan, side: int,
     return run_chains(spec.kernel, settings, plan.base_seed, paths)
 
 
-def _trial_blocks(num_trials: int, block_size: int) -> list[range]:
-    return [range(start, min(start + block_size, num_trials))
-            for start in range(0, num_trials, block_size)]
+def _trial_blocks(num_trials: int) -> list[range]:
+    return [range(start, min(start + _BLOCK_SIZE, num_trials))
+            for start in range(0, num_trials, _BLOCK_SIZE)]
 
 
 def tie_seed_for_trial(base_seed: int, trial: int) -> int:
@@ -154,15 +154,14 @@ def tie_seed_for_trial(base_seed: int, trial: int) -> int:
     return int(seed_sequence(base_seed, trial, _TIE_SIDE).generate_state(1, np.uint64)[0])
 
 
-def _crossmatch_trials(plan: TrialPlan, side0: Callable[[range], np.ndarray],
-                       block_size: int) -> PValueStats:
+def _crossmatch_trials(plan: TrialPlan, side0: Callable[[range], np.ndarray]) -> PValueStats:
     """The block loop shared by run_trials and the sweeps.
 
     side0(trials) returns side 0 of a block of trials; side 1 is drawn here,
     block by block.
     """
     p_values = np.empty(plan.num_trials)
-    for trials in _trial_blocks(plan.num_trials, block_size):
+    for trials in _trial_blocks(plan.num_trials):
         xs = side0(trials)
         ys = _side_samples(plan.sampler_b, plan, 1, trials)
         for row, trial in enumerate(trials):
@@ -172,16 +171,15 @@ def _crossmatch_trials(plan: TrialPlan, side0: Callable[[range], np.ndarray],
     return pvalue_stats(p_values)
 
 
-def run_trials(plan: TrialPlan, block_size: int = _BLOCK_SIZE) -> PValueStats:
+def run_trials(plan: TrialPlan) -> PValueStats:
     """Run every trial of the plan and aggregate the Crossmatch p-values.
 
     Trial i draws side samples from streams seeded at (base_seed, i, side)
     for side in {0, 1} and breaks matching ties with tie_seed_for_trial's
-    stream; block_size only batches chain execution and never changes any
-    result.
+    stream; the trial blocks only batch chain execution and never change
+    any result.
     """
-    return _crossmatch_trials(
-        plan, lambda trials: _side_samples(plan.sampler_a, plan, 0, trials), block_size)
+    return _crossmatch_trials(plan, lambda trials: _side_samples(plan.sampler_a, plan, 0, trials))
 
 
 def energy_estimate(resources: ResourceEstimate, ticks: int, em: EnergyModel) -> float:
@@ -220,14 +218,14 @@ def _sweep_reports(model: RbmModel, labeled_configs, reference: SamplerSpec,
                        base_seed=base_seed)
              for _, cfg in labeled_configs]
     xs = np.concatenate([_side_samples(reference, plans[0], 0, trials)
-                         for trials in _trial_blocks(num_trials, _BLOCK_SIZE)])
+                         for trials in _trial_blocks(num_trials)])
 
     def drawn(trials: range) -> np.ndarray:
         return xs[trials.start:trials.stop]
 
     reports = []
     for (label, cfg), plan in zip(labeled_configs, plans):
-        stats = _crossmatch_trials(plan, drawn, _BLOCK_SIZE)
+        stats = _crossmatch_trials(plan, drawn)
         resources = resource_estimate(model.n_visible + model.n_hidden,
                                       cfg.leak_density, em.core_size)
         energy = energy_estimate(resources, gibbs_ticks(settings, n_per_trial, cfg.window), em)

@@ -1,4 +1,9 @@
-"""Simulated hardware samplers: digital stochastic I&F neurons and analog LIF neurons.
+"""Hardware-style chain kernels: digital stochastic I&F neurons and analog LIF neurons.
+
+DigitalKernel and AnalogKernel run a block Gibbs step in which every unit is
+sampled by a simulated neuron instead of a logistic coin flip. Alongside
+them sit the exact spike probability of the digital neuron, the G1-G7
+presets, and crossbar resource accounting.
 
 The digital neuron realizes an approximately sigmoidal activation with four
 knobs: a sampling window of `window` iterations, a deterministic threshold,
@@ -26,19 +31,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rbm import GibbsState, RbmModel
+from .rbm import RbmModel
 from .rng import derive_rng
 
 __all__ = [
     "DigitalSamplerConfig",
-    "DigitalNeuronState",
     "AnalogConfig",
     "ResourceEstimate",
     "PRESET_CONFIGS",
-    "digital_neuron_sample",
     "digital_spike_prob_exact",
-    "digital_gibbs_step",
-    "analog_lif_sample",
     "resource_estimate",
     "DigitalKernel",
     "AnalogKernel",
@@ -102,18 +103,6 @@ class DigitalSamplerConfig:
         if self.leak_density != 1:
             base += f",ld={self.leak_density}"
         return base + ")"
-
-
-@dataclass
-class DigitalNeuronState:
-    """Membrane potential of one digital sampling neuron (scaled units)."""
-
-    V: float
-
-    def __post_init__(self):
-        self.V = float(self.V)
-        if not math.isfinite(self.V):
-            raise ValueError("membrane potential must be finite")
 
 
 @dataclass(frozen=True)
@@ -225,27 +214,6 @@ def _window_spikes(v0: np.ndarray, cfg: DigitalSamplerConfig, u_leak: np.ndarray
     return (V >= cfg.threshold + levels).any(axis=-2)
 
 
-def digital_neuron_sample(v_initial, cfg: DigitalSamplerConfig,
-                          rng: np.random.Generator, size: int | None = None):
-    """Sample one digital neuron initialized at membrane potential v_initial.
-
-    Returns a single 0/1 int, or an array of `size` independent samples.
-    Consumes window (or size x window) leak uniforms followed by the same
-    number of threshold uniforms from `rng`.
-    """
-    if isinstance(v_initial, DigitalNeuronState):
-        v_initial = v_initial.V
-    v0 = float(v_initial)
-    if not math.isfinite(v0):
-        raise ValueError("v_initial must be finite")
-    n = 1 if size is None else int(size)
-    u_leak = rng.random((n, cfg.window, 1))
-    u_thresh = rng.random((n, cfg.window, 1))
-    spikes = _window_spikes(np.full((n, 1), v0), cfg, u_leak, u_thresh, np.zeros(1, dtype=np.int64))
-    bits = spikes[:, 0].astype(np.uint8)
-    return int(bits[0]) if size is None else bits
-
-
 def digital_spike_prob_exact(v_initial: float, cfg: DigitalSamplerConfig) -> float:
     """Exact spike probability of the digital neuron, by dynamic programming.
 
@@ -319,32 +287,6 @@ class DigitalKernel:
         return self._update_layer(net_v, u[:, c[1]:c[2]], u[:, c[2]:c[3]], self._g_v, self._ng_v)
 
 
-def digital_gibbs_step(model: RbmModel, state: GibbsState, cfg: DigitalSamplerConfig,
-                       rng: np.random.Generator,
-                       hidden_perm: np.ndarray | None = None,
-                       visible_perm: np.ndarray | None = None) -> GibbsState:
-    """One block Gibbs update with digital-neuron sampling of every unit.
-
-    Draw order from `rng`: (window, groups_h) leak uniforms, (window, n_hidden)
-    threshold uniforms, then the visible-layer equivalents. Matches the
-    batched chain kernel draw for draw.
-    """
-    if not state.matches(model):
-        raise ValueError("state dimensions do not match model")
-    w = cfg.window
-
-    def layer(net, perm):
-        groups = _consecutive_groups(net.shape[-1], cfg.leak_density, perm)
-        u_leak = rng.random((1, w, int(groups.max()) + 1))
-        u_thresh = rng.random((1, w, net.shape[-1]))
-        return _window_spikes(cfg.scale * net, cfg, u_leak, u_thresh,
-                              groups).astype(np.float64)
-
-    h = layer((state.v.astype(np.float64) @ model.W + model.b_h)[None, :], hidden_perm)
-    v = layer(h @ model.W.T + model.b_v, visible_perm)
-    return GibbsState(v=v[0].astype(np.uint8), h=h[0].astype(np.uint8))
-
-
 def _lif_window(currents: np.ndarray, cfg: AnalogConfig, z: np.ndarray,
                 group_of_unit: np.ndarray | None) -> np.ndarray:
     """Spike indicator per unit after `window` Euler-Maruyama steps from v_reset.
@@ -371,23 +313,6 @@ def _lif_window(currents: np.ndarray, cfg: AnalogConfig, z: np.ndarray,
         np.greater_equal(u, cfg.threshold, out=hit)
         spiked |= hit
     return spiked
-
-
-def analog_lif_sample(input_current, cfg: AnalogConfig, rng: np.random.Generator,
-                      size: int | None = None):
-    """Sample one analog LIF neuron driven by a constant input current.
-
-    Returns a 0/1 int (or array of `size` samples); consumes window (or
-    size x window) standard normals from `rng`.
-    """
-    current = float(input_current)
-    if not math.isfinite(current):
-        raise ValueError("input_current must be finite")
-    n = 1 if size is None else int(size)
-    z = rng.standard_normal((n, cfg.window, 1))
-    spikes = _lif_window(np.full((n, 1), current), cfg, z, None)
-    bits = spikes[:, 0].astype(np.uint8)
-    return int(bits[0]) if size is None else bits
 
 
 class AnalogKernel:

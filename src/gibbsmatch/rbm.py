@@ -1,4 +1,4 @@
-"""Binary RBM model, exact desk-scale oracles, and the reference ideal Gibbs step.
+"""Binary RBM model, exact desk-scale oracles, sample batches and CD-1 training.
 
 The model assigns each joint state (v, h) the energy
 
@@ -6,8 +6,9 @@ The model assigns each joint state (v, h) the energy
 
 and the Boltzmann probability exp(-E) / Z. Desk-scale models (n_visible +
 n_hidden <= 24) additionally support exact enumeration of the partition
-function and the visible marginal, which the rest of the package uses as a
-correctness oracle for samplers.
+function and the visible marginal, which the tests use as a correctness
+oracle for samplers. The Gibbs update itself lives in the chain kernels
+(chains.IdealKernel and the hardware kernels in neuro).
 """
 
 from __future__ import annotations
@@ -23,20 +24,13 @@ from .rng import derive_rng
 __all__ = [
     "ENUMERATION_LIMIT",
     "RbmModel",
-    "GibbsState",
     "ChainSettings",
     "SampleBatch",
     "TrainConfig",
     "random_model",
-    "energy",
     "log_partition_exact",
     "exact_visible_marginal",
-    "hidden_activation_probs",
-    "visible_activation_probs",
-    "gibbs_step",
     "cd1_train",
-    "enumerate_states",
-    "state_index",
 ]
 
 # Exact enumeration walks all 2^(n_visible + n_hidden) joint states; cap the
@@ -46,13 +40,21 @@ ENUMERATION_LIMIT = 24
 _ENUM_CHUNK = 1 << 16
 
 
-def _as_bits(x, length: int, name: str) -> np.ndarray:
-    arr = np.ascontiguousarray(x, dtype=np.uint8)
-    if arr.shape != (length,):
-        raise ValueError(f"{name} must have shape ({length},), got {arr.shape}")
-    if arr.max(initial=0) > 1:
+def as_bits(x, name: str) -> np.ndarray:
+    """x as a C-contiguous uint8 array, once every entry is known to be 0 or 1.
+
+    uint8 and bool input needs one max() pass. Any other dtype is compared
+    with 0 and 1 before the cast, so 0.5, 1.2, 256 or NaN raise instead of
+    truncating or wrapping to a bit.
+    """
+    arr = np.asarray(x)
+    if arr.dtype == np.uint8 or arr.dtype == np.bool_:
+        ok = arr.max(initial=0) <= 1
+    else:
+        ok = ((arr == 0) | (arr == 1)).all()
+    if not ok:
         raise ValueError(f"{name} entries must be 0 or 1")
-    return arr
+    return np.ascontiguousarray(arr, dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -95,26 +97,6 @@ class RbmModel:
         return self.W.shape[1]
 
 
-@dataclass
-class GibbsState:
-    """One joint configuration of the visible and hidden layers (bits)."""
-
-    v: np.ndarray
-    h: np.ndarray
-
-    def __post_init__(self):
-        self.v = np.ascontiguousarray(self.v, dtype=np.uint8)
-        self.h = np.ascontiguousarray(self.h, dtype=np.uint8)
-        for name, arr in (("v", self.v), ("h", self.h)):
-            if arr.ndim != 1:
-                raise ValueError(f"{name} must be a 1-d bit vector")
-            if arr.max(initial=0) > 1:
-                raise ValueError(f"{name} entries must be 0 or 1")
-
-    def matches(self, model: RbmModel) -> bool:
-        return len(self.v) == model.n_visible and len(self.h) == model.n_hidden
-
-
 @dataclass(frozen=True)
 class ChainSettings:
     """How a Gibbs chain is run: burn-in, thinning, sample count, init rule.
@@ -143,7 +125,7 @@ class ChainSettings:
         if self.init == "given-vector":
             if self.init_vector is None:
                 raise ValueError("init 'given-vector' requires init_vector")
-            vec = np.ascontiguousarray(self.init_vector, dtype=np.uint8)
+            vec = as_bits(self.init_vector, "init_vector")
             vec.setflags(write=False)
             object.__setattr__(self, "init_vector", vec)
 
@@ -162,11 +144,9 @@ class SampleBatch:
     settings: ChainSettings
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.samples, dtype=np.uint8)
+        arr = as_bits(self.samples, "samples")
         if arr.ndim != 2 or arr.shape[0] < 1:
             raise ValueError(f"samples must be a non-empty 2-d bit matrix, got shape {arr.shape}")
-        if arr.max(initial=0) > 1:
-            raise ValueError("samples entries must be 0 or 1")
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 
@@ -186,37 +166,6 @@ def random_model(n_visible: int, n_hidden: int, sigma: float, seed: int) -> RbmM
     rng = derive_rng(seed, 0xB0)
     W = sigma * rng.standard_normal((n_visible, n_hidden))
     return RbmModel(W=W, b_v=np.zeros(n_visible), b_h=np.zeros(n_hidden))
-
-
-def energy(model: RbmModel, state: GibbsState) -> float:
-    """E(v, h) = -v.W.h - b_v.v - b_h.h as a double."""
-    if not state.matches(model):
-        raise ValueError(
-            f"state dims ({len(state.v)}, {len(state.h)}) do not match model "
-            f"({model.n_visible}, {model.n_hidden})"
-        )
-    v = state.v.astype(np.float64)
-    h = state.h.astype(np.float64)
-    return float(-(v @ model.W @ h) - model.b_v @ v - model.b_h @ h)
-
-
-def enumerate_states(k: int) -> np.ndarray:
-    """All 2^k bit vectors of length k; row i holds the binary digits of i."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k > ENUMERATION_LIMIT:
-        raise ValueError(f"refusing to enumerate 2^{k} states (limit 2^{ENUMERATION_LIMIT})")
-    idx = np.arange(1 << k, dtype=np.uint32)
-    shifts = np.arange(k - 1, -1, -1, dtype=np.uint32)
-    return ((idx[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-
-
-def state_index(bits: np.ndarray) -> np.ndarray:
-    """Inverse of enumerate_states row order: bit vector(s) -> integer index."""
-    bits = np.asarray(bits)
-    k = bits.shape[-1]
-    weights = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
-    return bits.astype(np.int64) @ weights
 
 
 def _check_enumerable(model: RbmModel) -> None:
@@ -253,37 +202,16 @@ def log_partition_exact(model: RbmModel) -> float:
 
 
 def exact_visible_marginal(model: RbmModel) -> np.ndarray:
-    """Exact probability table over all 2^n_visible states, in enumerate_states order."""
+    """Exact probability table over all 2^n_visible visible states.
+
+    Entry i is the probability of the state whose bits, most significant
+    first, are the binary digits of i: v[0] is the high bit.
+    """
     _check_enumerable(model)
     logw = np.concatenate([_visible_log_weights(model, vb) for vb in _iter_visible_blocks(model)])
     logw -= logsumexp(logw)
     p = np.exp(logw)
     return p / p.sum()
-
-
-def hidden_activation_probs(model: RbmModel, v: np.ndarray) -> np.ndarray:
-    """P(h_j = 1 | v) for every hidden unit; v may be a batch."""
-    return expit(np.asarray(v, dtype=np.float64) @ model.W + model.b_h)
-
-
-def visible_activation_probs(model: RbmModel, h: np.ndarray) -> np.ndarray:
-    """P(v_i = 1 | h) for every visible unit; h may be a batch."""
-    return expit(np.asarray(h, dtype=np.float64) @ model.W.T + model.b_v)
-
-
-def gibbs_step(model: RbmModel, state: GibbsState, rng: np.random.Generator) -> GibbsState:
-    """One block Gibbs update: resample all of h given v, then all of v given h.
-
-    Consumes exactly n_hidden then n_visible uniforms from `rng`, so the
-    result is a pure function of (model, state, rng stream position).
-    """
-    if not state.matches(model):
-        raise ValueError("state dimensions do not match model")
-    ph = hidden_activation_probs(model, state.v)
-    h = (rng.random(model.n_hidden) < ph).astype(np.uint8)
-    pv = visible_activation_probs(model, h)
-    v = (rng.random(model.n_visible) < pv).astype(np.uint8)
-    return GibbsState(v=v, h=h)
 
 
 @dataclass(frozen=True)

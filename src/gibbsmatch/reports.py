@@ -16,7 +16,6 @@ from .harness import EpeffReport, PValueStats
 
 __all__ = [
     "sweep_csv",
-    "parse_sweep_csv",
     "histogram_csv",
     "outcome_json",
     "stats_json",
@@ -37,18 +36,6 @@ def sweep_csv(reports: Sequence[EpeffReport]) -> str:
         lines.append(",".join([r.label, _num(r.mean_p), _num(r.energy),
                                _num(r.epeff), str(r.resources.cores)]))
     return "\n".join(lines) + "\n"
-
-
-def parse_sweep_csv(text: str) -> list[dict]:
-    lines = text.strip("\n").split("\n")
-    if lines[0] != ",".join(SWEEP_COLUMNS):
-        raise ValueError(f"unexpected sweep CSV header: {lines[0]!r}")
-    rows = []
-    for line in lines[1:]:
-        label, mean_p, energy, epeff_v, cores = line.split(",")
-        rows.append({"label": label, "mean_p": float(mean_p), "energy": float(energy),
-                     "epeff": float(epeff_v), "cores": int(cores)})
-    return rows
 
 
 def histogram_csv(stats: PValueStats, edges) -> str:

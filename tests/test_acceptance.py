@@ -21,12 +21,11 @@ from gibbsmatch.cli import validate_run_config
 from gibbsmatch.crossmatch import DistanceMatrix, null_pmf, optimal_matching
 from gibbsmatch.harness import SamplerSpec, TrialPlan, leak_density_sweep, run_trials
 from gibbsmatch.neuro import (PRESET_CONFIGS, DigitalKernel, DigitalSamplerConfig,
-                              digital_neuron_sample, digital_spike_prob_exact,
-                              resource_estimate)
-from gibbsmatch.rbm import (ChainSettings, exact_visible_marginal, random_model,
-                            state_index)
-from gibbsmatch.reports import parse_sweep_csv, sweep_csv
+                              digital_spike_prob_exact, resource_estimate)
+from gibbsmatch.rbm import ChainSettings, exact_visible_marginal, random_model
+from gibbsmatch.reports import sweep_csv
 from gibbsmatch.rng import derive_rng
+from oracles import digital_neuron_sample, parse_sweep_csv, state_index
 
 DESK_MODEL = random_model(16, 8, 0.4, seed=2024)
 DESK_SETTINGS = ChainSettings(n_samples=50, burn_in=1000, thin=10)

@@ -14,7 +14,7 @@ import pytest
 from gibbsmatch import crossmatch
 from gibbsmatch.cli import ConfigError, load_run_config, main, validate_run_config
 from gibbsmatch.formats import load_samples
-from gibbsmatch.reports import parse_sweep_csv
+from oracles import parse_sweep_csv
 
 
 def write_cfg(tmp_path, name="cfg.json", **sections):
@@ -290,6 +290,41 @@ def test_wrong_typed_config_value_exits_2(tmp_path, capsys, command, sections, f
     err = stderr_events(capsys)[-1]
     assert err["error"] == "ConfigError"
     assert err["message"].startswith(field)
+
+
+G4 = {"window": 8, "threshold": 79, "threshold_bits": 9, "leak": 49, "scale": 50}
+
+
+def without(section, key):
+    return {k: v for k, v in section.items() if k != key}
+
+
+@pytest.mark.parametrize("command, sections, field", [
+    ("null-check", {"model": {"kind": "random", "n_visible": 20, "n_hidden": 8}},
+     "model.sigma"),
+    ("null-check", {"model": {"kind": "file"}}, "model.path"),
+    ("train", {"model": {"kind": "train", "epochs": 2}}, "model.n_hidden"),
+    ("train", {"data": {"kind": "synth", "dataset": "bars", "r": 8, "count": 64}},
+     "data.noise"),
+    ("train", {"data": {"kind": "idx", "threshold": 0.5}}, "data.path"),
+    ("null-check", {"sampler_a": {"kind": "digital", **without(G4, "threshold")}},
+     "sampler_a.threshold"),
+    ("sweep-leak", {"sampler_b": {"kind": "digital", **without(G4, "scale")}},
+     "sampler_b.scale"),
+    ("null-check", {"sampler_a": {"kind": "bernoulli", "rate": 0.5}}, "sampler_a.n_bits"),
+    ("sweep-params", {"sweep": {"configs": [{"label": "a", **G4}, G4]}},
+     "sweep.configs[1].label"),
+    ("sweep-params", {"sweep": {"configs": [{"label": "a", **without(G4, "window")}]}},
+     "sweep.configs[0].window"),
+])
+def test_missing_required_config_field_exits_2(tmp_path, capsys, command, sections, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(sections))
+    rc = main([command, "--seed", "1", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = stderr_events(capsys)[-1]
+    assert err["error"] == "ConfigError"
+    assert err["message"] == f"{field} is required"
 
 
 def test_numbers_accepted_where_reals_are_expected():

@@ -92,6 +92,20 @@ def test_pairwise_distances_input_checks():
         pairwise_distances(np.zeros(4), np.zeros(4))
 
 
+@pytest.mark.parametrize("value", [0.5, 1.2, 256, float("nan")])
+def test_non_bit_values_are_rejected_before_the_cast(value):
+    # a uint8 cast would truncate 0.5 and 1.2 and wrap 256 to a valid bit
+    rows = np.array([[value, 0], [1, 0]])
+    with pytest.raises(ValueError, match="0 or 1"):
+        crossmatch_test(rows, np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="0 or 1"):
+        pairwise_distances(np.zeros((2, 2)), rows)
+    with pytest.raises(ValueError, match="0 or 1"):
+        SampleBatch(samples=rows, sampler_id="x", seed=0, settings=ChainSettings(n_samples=2))
+    with pytest.raises(ValueError, match="0 or 1"):
+        ChainSettings(n_samples=1, init="given-vector", init_vector=rows[0])
+
+
 def test_pairwise_distances_accepts_sample_batches():
     cs = ChainSettings(n_samples=4)
     a = SampleBatch(samples=random_bits(1, 4, 8), sampler_id="x", seed=1, settings=cs)

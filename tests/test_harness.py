@@ -93,10 +93,12 @@ def test_single_trial_equals_direct_crossmatch():
     assert stats.p_values[0] == outcome.p_value
 
 
-def test_block_size_never_changes_results():
+def test_block_size_never_changes_results(monkeypatch):
     plan = quick_plan(num_trials=7)
-    a = run_trials(plan, block_size=3)
-    b = run_trials(plan, block_size=64)
+    monkeypatch.setattr(harness, "_BLOCK_SIZE", 3)
+    a = run_trials(plan)
+    monkeypatch.setattr(harness, "_BLOCK_SIZE", 64)
+    b = run_trials(plan)
     np.testing.assert_array_equal(a.p_values, b.p_values)
 
 

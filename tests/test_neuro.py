@@ -3,7 +3,8 @@
 The dynamic-programming spike probability is pinned three ways: hand values
 for the single-iteration no-leak neuron, a closed form for leak-free windows,
 and a one-iteration leak mixture for the fastest preset. Monte Carlo runs are
-checked against the DP at frozen seeds.
+checked against the DP at frozen seeds, through the single-neuron and
+single-chain adapters of oracles.py.
 """
 
 import math
@@ -15,12 +16,12 @@ from scipy.special import expit
 
 from gibbsmatch.chains import run_chain
 from gibbsmatch.neuro import (PRESET_CONFIGS, AnalogConfig, AnalogKernel, DigitalKernel,
-                              DigitalNeuronState, DigitalSamplerConfig,
-                              ResourceEstimate, analog_lif_sample,
-                              digital_gibbs_step, digital_neuron_sample,
+                              DigitalSamplerConfig, ResourceEstimate,
                               digital_spike_prob_exact, resource_estimate)
-from gibbsmatch.rbm import ChainSettings, GibbsState, RbmModel, random_model
+from gibbsmatch.rbm import ChainSettings, RbmModel, random_model
 from gibbsmatch.rng import derive_rng
+from oracles import (analog_lif_sample, digital_gibbs_step, digital_neuron_sample,
+                     record_chain)
 
 PRESETS = dict(PRESET_CONFIGS)
 
@@ -118,16 +119,6 @@ def test_digital_sample_draw_contract():
     assert rng.random() == fresh.random()
 
 
-def test_digital_sample_scalar_and_state():
-    cfg = step_cfg()
-    assert digital_neuron_sample(1000.0, cfg, derive_rng(0)) == 1
-    assert digital_neuron_sample(DigitalNeuronState(V=-50.0), cfg, derive_rng(0)) == 0
-    with pytest.raises(ValueError):
-        digital_neuron_sample(float("nan"), cfg, derive_rng(0))
-    with pytest.raises(ValueError):
-        DigitalNeuronState(V=float("inf"))
-
-
 def test_digital_config_validation():
     with pytest.raises(ValueError):
         DigitalSamplerConfig(window=0, threshold=0, threshold_bits=8, leak=0, scale=1)
@@ -171,9 +162,8 @@ def test_digital_step_draw_contract():
     model = random_model(5, 3, 0.4, seed=2)
     cfg = DigitalSamplerConfig(window=4, threshold=10, threshold_bits=6, leak=7,
                                scale=20, leak_density=2)
-    state = GibbsState(v=np.array([1, 0, 1, 1, 0]), h=np.zeros(3, dtype=np.uint8))
     rng = derive_rng(6, 6)
-    digital_gibbs_step(model, state, cfg, rng)
+    digital_gibbs_step(model, np.array([1, 0, 1, 1, 0], dtype=np.uint8), cfg, rng)
     groups_h = -(-3 // 2)
     groups_v = -(-5 // 2)
     fresh = derive_rng(6, 6)
@@ -192,15 +182,9 @@ def test_digital_chain_matches_manual_steps():
     batch = digital_chain(model, cs, cfg, 15)
 
     v0 = (derive_rng(15, 0).random(4) < 0.5).astype(np.uint8)
-    state = GibbsState(v=v0, h=np.zeros(3, dtype=np.uint8))
     rng = derive_rng(15, 1)
-    recorded = []
-    for step in range(1, cs.total_steps + 1):
-        state = digital_gibbs_step(model, state, cfg, rng)
-        done = step - cs.burn_in
-        if done > 0 and done % cs.thin == 0 and len(recorded) < cs.n_samples:
-            recorded.append(state.v.copy())
-    np.testing.assert_array_equal(batch.samples, np.array(recorded))
+    recorded = record_chain(lambda v: digital_gibbs_step(model, v, cfg, rng), v0, cs)
+    np.testing.assert_array_equal(batch.samples, recorded)
 
 
 def test_digital_chain_random_groups_matches_manual_steps():
@@ -213,15 +197,10 @@ def test_digital_chain_random_groups_matches_manual_steps():
     hidden_perm = derive_rng(33, 0xD0, 0).permutation(4)
     visible_perm = derive_rng(33, 0xD0, 1).permutation(6)
     v0 = (derive_rng(33, 0).random(6) < 0.5).astype(np.uint8)
-    state = GibbsState(v=v0, h=np.zeros(4, dtype=np.uint8))
     rng = derive_rng(33, 1)
-    recorded = []
-    for step in range(1, cs.total_steps + 1):
-        state = digital_gibbs_step(model, state, cfg, rng, hidden_perm, visible_perm)
-        done = step - cs.burn_in
-        if done > 0 and done % cs.thin == 0 and len(recorded) < cs.n_samples:
-            recorded.append(state.v.copy())
-    np.testing.assert_array_equal(batch.samples, np.array(recorded))
+    recorded = record_chain(
+        lambda v: digital_gibbs_step(model, v, cfg, rng, hidden_perm, visible_perm), v0, cs)
+    np.testing.assert_array_equal(batch.samples, recorded)
 
 
 def leak_dominated_cfg(density, random_groups=False):
@@ -305,10 +284,9 @@ def test_analog_sample_draw_contract():
 def test_analog_deterministic_limits():
     # with negligible noise the neuron either never or always reaches threshold
     quiet = AnalogConfig(noise_sigma=1e-12)
-    assert analog_lif_sample(0.0, quiet, derive_rng(1)) == 0
-    assert analog_lif_sample(2 * quiet.threshold * quiet.g_leak, quiet, derive_rng(1)) == 1
-    with pytest.raises(ValueError):
-        analog_lif_sample(float("nan"), quiet, derive_rng(1))
+    assert not analog_lif_sample(0.0, quiet, derive_rng(1), size=5).any()
+    assert analog_lif_sample(2 * quiet.threshold * quiet.g_leak, quiet, derive_rng(1),
+                             size=5).all()
 
 
 def test_analog_monotone_in_current():

@@ -1,8 +1,9 @@
 """RBM model, exact oracles, and the ideal Gibbs sampler.
 
 The enumeration oracles here are written independently of the package
-(plain Python loops + math.fsum) and pin down energy, log Z, the visible
-marginal, and the stationarity of the block Gibbs transition kernel.
+(plain Python loops + math.fsum) and pin down log Z, the visible marginal,
+and the stationarity of the block Gibbs transition kernel; the reference
+Gibbs step the chain engine is replayed against is in oracles.py.
 """
 
 import itertools
@@ -13,13 +14,12 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from gibbsmatch.chains import IdealKernel, run_chain, run_chains
-from gibbsmatch.rbm import (ChainSettings, GibbsState, RbmModel, SampleBatch,
-                            TrainConfig, cd1_train, energy, enumerate_states,
-                            exact_visible_marginal, gibbs_step,
-                            hidden_activation_probs, log_partition_exact,
-                            random_model, state_index,
-                            visible_activation_probs)
+from gibbsmatch.rbm import (ChainSettings, RbmModel, SampleBatch, TrainConfig,
+                            cd1_train, exact_visible_marginal, log_partition_exact,
+                            random_model)
 from gibbsmatch.rng import derive_rng
+from oracles import (enumerate_states, gibbs_step, hidden_activation_probs,
+                     record_chain, state_index, visible_activation_probs)
 
 
 def tiny_model(n_visible=3, n_hidden=2, sigma=0.7, seed=11):
@@ -50,32 +50,15 @@ def oracle_joint_table(model):
     return {k: w / z for k, w in weights.items()}, math.log(z)
 
 
-# --- energy ------------------------------------------------------------------
+# --- energy (of the brute-force oracle) -----------------------------------------
 
 def test_energy_hand_value():
     m = RbmModel(W=np.array([[1.0]]), b_v=np.array([0.5]), b_h=np.array([-0.25]))
-    s = GibbsState(v=np.array([1]), h=np.array([1]))
-    assert energy(m, s) == -1.25
+    assert oracle_energy(m, (1,), (1,)) == -1.25
 
 
 def test_energy_zero_state_is_zero():
-    m = tiny_model()
-    s = GibbsState(v=np.zeros(3, dtype=np.uint8), h=np.zeros(2, dtype=np.uint8))
-    assert energy(m, s) == 0.0
-
-
-def test_energy_matches_loop_oracle():
-    m = tiny_model(seed=5)
-    for v in itertools.product((0, 1), repeat=3):
-        for h in itertools.product((0, 1), repeat=2):
-            s = GibbsState(v=np.array(v), h=np.array(h))
-            assert energy(m, s) == pytest.approx(oracle_energy(m, v, h), abs=1e-12)
-
-
-def test_energy_rejects_mismatched_state():
-    m = tiny_model()
-    with pytest.raises(ValueError):
-        energy(m, GibbsState(v=np.array([1, 0]), h=np.array([0, 1])))
+    assert oracle_energy(tiny_model(), (0, 0, 0), (0, 0)) == 0.0
 
 
 def test_model_validation():
@@ -108,7 +91,7 @@ def test_enumeration_guard():
     with pytest.raises(ValueError):
         log_partition_exact(random_model(20, 5, 0.1, seed=0))
     with pytest.raises(ValueError):
-        enumerate_states(25)
+        exact_visible_marginal(random_model(20, 5, 0.1, seed=0))
 
 
 def test_enumerate_states_order():
@@ -179,7 +162,7 @@ def test_gibbs_step_draw_contract():
     # consumes exactly n_hidden + n_visible uniforms
     m = tiny_model()
     rng = derive_rng(3, 1)
-    gibbs_step(m, GibbsState(v=np.array([1, 0, 1]), h=np.array([0, 0])), rng)
+    gibbs_step(m, np.array([1, 0, 1], dtype=np.uint8), rng)
     fresh = derive_rng(3, 1)
     fresh.random(m.n_hidden + m.n_visible)
     assert rng.random() == fresh.random()
@@ -187,13 +170,13 @@ def test_gibbs_step_draw_contract():
 
 def test_gibbs_step_uses_conditional_thresholds():
     m = tiny_model(seed=13)
-    state = GibbsState(v=np.array([1, 1, 0]), h=np.array([0, 1]))
-    nxt = gibbs_step(m, state, derive_rng(99, 0))
+    v0 = np.array([1, 1, 0], dtype=np.uint8)
+    v, h = gibbs_step(m, v0, derive_rng(99, 0))
     u = derive_rng(99, 0)
-    ph = hidden_activation_probs(m, state.v.astype(float))
-    np.testing.assert_array_equal(nxt.h, (u.random(2) < ph).astype(np.uint8))
-    pv = visible_activation_probs(m, nxt.h.astype(float))
-    np.testing.assert_array_equal(nxt.v, (u.random(3) < pv).astype(np.uint8))
+    ph = hidden_activation_probs(m, v0.astype(float))
+    np.testing.assert_array_equal(h, (u.random(2) < ph).astype(np.uint8))
+    pv = visible_activation_probs(m, h.astype(float))
+    np.testing.assert_array_equal(v, (u.random(3) < pv).astype(np.uint8))
 
 
 def test_run_chain_deterministic():
@@ -212,15 +195,9 @@ def test_run_chain_matches_manual_stepping():
     batch = run_chain(IdealKernel(m), cs, seed=17)
 
     v0 = (derive_rng(17, 0).random(5) < 0.5).astype(np.uint8)
-    state = GibbsState(v=v0, h=np.zeros(3, dtype=np.uint8))
     rng = derive_rng(17, 1)
-    recorded = []
-    for step in range(1, cs.total_steps + 1):
-        state = gibbs_step(m, state, rng)
-        done = step - cs.burn_in
-        if done > 0 and done % cs.thin == 0 and len(recorded) < cs.n_samples:
-            recorded.append(state.v.copy())
-    np.testing.assert_array_equal(batch.samples, np.array(recorded))
+    recorded = record_chain(lambda v: gibbs_step(m, v, rng), v0, cs)
+    np.testing.assert_array_equal(batch.samples, recorded)
 
 
 def test_fair_coin_model_is_uniform():
@@ -237,9 +214,8 @@ def test_given_vector_init():
     vec = np.array([1, 0, 1], dtype=np.uint8)
     cs = ChainSettings(n_samples=2, burn_in=0, thin=1, init="given-vector", init_vector=vec)
     batch = run_chain(IdealKernel(m), cs, seed=4)
-    state = GibbsState(v=vec, h=np.zeros(2, dtype=np.uint8))
-    state = gibbs_step(m, state, derive_rng(4, 1))
-    np.testing.assert_array_equal(batch.samples[0], state.v)
+    v, _ = gibbs_step(m, vec, derive_rng(4, 1))
+    np.testing.assert_array_equal(batch.samples[0], v)
 
 
 def test_chain_settings_validation():

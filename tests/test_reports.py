@@ -9,9 +9,9 @@ import pytest
 from gibbsmatch.crossmatch import CrossmatchOutcome
 from gibbsmatch.harness import HISTOGRAM_EDGES, EpeffReport, pvalue_stats
 from gibbsmatch.neuro import resource_estimate
-from gibbsmatch.reports import (SWEEP_COLUMNS, histogram_csv, outcome_json,
-                                parse_sweep_csv, stats_json, svg_bar_chart,
-                                svg_line_chart, sweep_csv)
+from gibbsmatch.reports import (SWEEP_COLUMNS, histogram_csv, outcome_json, stats_json,
+                                svg_bar_chart, svg_line_chart, sweep_csv)
+from oracles import parse_sweep_csv
 
 
 def sample_reports():
