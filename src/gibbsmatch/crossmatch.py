@@ -18,7 +18,9 @@ and pricing (Grötschel & Holland 1985; Applegate & Cook 1993): the LP on a
 sparse candidate set of pairs, odd-set cuts for fractional solutions, every
 pair priced in by its reduced cost, and an integer program on the
 candidates when the cuts run out, made exact by reduced-cost fixing (see
-optimal_matching).
+optimal_matching). The LP is one HiGHS model per matching, held through
+scipy's private binding scipy.optimize._highspy._core: priced pairs enter as
+columns and cuts as rows, and the dual simplex restarts from the last basis.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize._highspy import _core as _highs
 from scipy.sparse.csgraph import connected_components
 from scipy.special import gammaln
 
@@ -53,6 +56,12 @@ _NEIGHBOURS = 10       # candidate pairs per point: its nearest by jittered weig
 _CUT_ROUNDS = 10       # odd-set cut rounds before the integer-program finish
 _TOL = 1e-9            # reduced costs below -_TOL price a pair in
 _FRACTIONAL = 1e-6     # LP values further than this from 0 and 1 are fractional
+# The dual simplex on the calling thread, from the previous basis (presolve
+# off), with tolerances far below HiGHS's 1e-7 defaults so that no candidate
+# prices below -_TOL and the final duals bound every matching.
+_LP_OPTIONS = (("output_flag", False), ("threads", 1), ("presolve", "off"),
+               ("solver", "simplex"), ("simplex_strategy", 1),
+               ("primal_feasibility_tolerance", 1e-10), ("dual_feasibility_tolerance", 1e-10))
 
 
 def _bit_rows(x) -> np.ndarray:
@@ -187,34 +196,76 @@ def _incidence(size: int, eu: np.ndarray, ev: np.ndarray):
                              shape=(size, eu.size))
 
 
-def _matching_lp(size: int, eu, ev, cost, cuts: list):
-    """Degree-equality LP on the candidate pairs, with x(delta(S)) >= 1 per odd set.
+def _crossing(members: np.ndarray, eu: np.ndarray, ev: np.ndarray):
+    """Cut-by-pair matrix: 1 where the pair has exactly one end in the odd set."""
+    return sparse.csr_matrix(members[:, eu] != members[:, ev], dtype=np.float64)
 
-    Returns the solution, the vertex duals y, the cut duals z >= 0 and the
-    optimal value.
+
+def _check(status, call: str):
+    if status != _highs.HighsStatus.kOk:
+        raise RuntimeError(f"matching LP: HiGHS {call} returned {status}")
+
+
+class _MatchingLP:
+    """Edmonds' matching LP on the candidate pairs, as one HiGHS model.
+
+    Rows 0..size-1 are the degree equalities x(delta(v)) = 1; every later
+    row is an odd-set cut x(delta(S)) >= 1, in the order of ``members``.
+    Column j is the pair (eu[j], ev[j]). Pairs and cuts are only appended,
+    so each solve restarts the dual simplex from the previous basis.
     """
-    a_ub = b_ub = None
-    if cuts:
-        member = np.array(cuts)
-        a_ub = -sparse.csr_matrix(member[:, eu] != member[:, ev], dtype=np.float64)
-        b_ub = -np.ones(len(cuts))
-    # Tolerances far below HiGHS's 1e-7 defaults, so that no candidate
-    # prices below -_TOL and the final duals bound every matching.
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=_incidence(size, eu, ev), b_eq=np.ones(size),
-                  bounds=(0, None), method="highs-ds",
-                  options={"dual_feasibility_tolerance": 1e-10,
-                           "primal_feasibility_tolerance": 1e-10})
-    if res.status != 0:
-        raise RuntimeError(f"matching LP failed: {res.message}")
-    z = -res.ineqlin.marginals if cuts else np.zeros(0)
-    return res.x, res.eqlin.marginals, z, res.fun
+
+    def __init__(self, size: int, eu, ev, cost):
+        self.size = size
+        self.eu = self.ev = np.zeros(0, dtype=np.intp)
+        self.members = np.zeros((0, size), dtype=bool)
+        self.highs = _highs._Highs()
+        for name, value in _LP_OPTIONS:
+            _check(self.highs.setOptionValue(name, value), f"option {name}")
+        _check(self.highs.addRows(size, np.ones(size), np.ones(size), 0,
+                                  np.zeros(size, dtype=np.int32), np.zeros(0, dtype=np.int32),
+                                  np.zeros(0)), "addRows")
+        self.add_pairs(eu, ev, cost)
+
+    def add_pairs(self, eu, ev, cost):
+        """Append one column per pair, with a 1 in its two degree rows and in
+        every existing cut row that it crosses."""
+        a = sparse.vstack([_incidence(self.size, eu, ev), _crossing(self.members, eu, ev)],
+                          format="csc")
+        _check(self.highs.addCols(eu.size, cost, np.zeros(eu.size), np.full(eu.size, np.inf),
+                                  a.nnz, a.indptr[:-1].astype(np.int32),
+                                  a.indices.astype(np.int32), a.data), "addCols")
+        self.eu = np.concatenate([self.eu, eu])
+        self.ev = np.concatenate([self.ev, ev])
+
+    def add_cuts(self, members: list):
+        """Append one row x(delta(S)) >= 1 per membership row S."""
+        members = np.array(members)
+        a = _crossing(members, self.eu, self.ev)
+        _check(self.highs.addRows(len(members), np.ones(len(members)),
+                                  np.full(len(members), np.inf), a.nnz,
+                                  a.indptr[:-1].astype(np.int32), a.indices.astype(np.int32),
+                                  a.data), "addRows")
+        self.members = np.vstack([self.members, members])
+
+    def solve(self):
+        """Solution x, vertex duals y, cut duals z >= 0 and the optimal value."""
+        run = self.highs.run()
+        status = self.highs.getModelStatus()
+        if status != _highs.HighsModelStatus.kOptimal:
+            raise RuntimeError(f"matching LP failed: {self.highs.modelStatusToString(status)} "
+                               f"(run returned {run})")
+        solution = self.highs.getSolution()
+        dual = np.array(solution.row_dual)
+        return (np.array(solution.col_value), dual[:self.size], dual[self.size:],
+                self.highs.getInfo().objective_function_value)
 
 
-def _reduced_costs(w: np.ndarray, y, z, cuts: list) -> np.ndarray:
+def _reduced_costs(w: np.ndarray, y, z, members: np.ndarray) -> np.ndarray:
     """w_uv - y_u - y_v - sum of z_S over the cuts S that separate u from v."""
     rc = w - y[:, None] - y[None, :]
-    if cuts:
-        member = np.array(cuts, dtype=np.float64).T
+    if len(members):
+        member = members.T.astype(np.float64)
         crossing = member @ z
         rc -= crossing[:, None] + crossing[None, :] - 2.0 * (member * z) @ member.T
     return rc
@@ -242,13 +293,16 @@ def optimal_matching(D: DistanceMatrix, tie_seed: int = 0) -> Matching:
 
     Exact for the jittered weights, so the pairs are the jittered optimum and
     the integer total_cost is the true minimum. The candidate pairs start as
-    each point's nearest neighbours plus a greedy perfect matching. Each
-    round solves the matching LP on the candidates and prices every pair
-    with its duals: rc_uv = w_uv - y_u - y_v - sum of z_S over the cuts S
-    that separate u and v. Pairs with rc_uv < 0 join the candidates and the
-    LP is solved again. Once none do, the duals are feasible for the LP over
-    all pairs: an integral solution is then optimal, and a fractional one
-    gets a cut x(delta(S)) >= 1 for each odd component S of its support.
+    each point's nearest neighbours plus the pairs (0, 1), (2, 3), ..., which
+    guarantee a perfect matching. One HiGHS model of the matching LP on the
+    candidates (_MatchingLP) lives for the whole call. Each round solves it
+    from the previous basis and prices every pair with its duals:
+    rc_uv = w_uv - y_u - y_v - sum of z_S over the cuts S that separate u
+    and v. Pairs with rc_uv < 0 enter as new columns, each with its entries
+    in the cut rows it crosses, and the LP is solved again. Once none do, the
+    duals are feasible for the LP over all pairs: an integral solution is
+    then optimal, and a fractional one gets a cut row x(delta(S)) >= 1 for
+    each odd component S of its support.
 
     When no odd component is left, or after _CUT_ROUNDS cut rounds, an
     integer program on the candidates gives their best matching, of weight
@@ -264,50 +318,51 @@ def optimal_matching(D: DistanceMatrix, tie_seed: int = 0) -> Matching:
     size = D.size
     if size % 2:
         raise ValueError("matching requires an even number of points")
-    w, iu = _jittered_weights(D, tie_seed)
+    w, _ = _jittered_weights(D, tie_seed)
     np.fill_diagonal(w, np.inf)
     k = min(_NEIGHBOURS, size - 1)
     cand = np.zeros((size, size), dtype=bool)
     cand[np.arange(size)[:, None], np.argpartition(w, k - 1, axis=1)[:, :k]] = True
-    for i, j in _greedy_pairs(w, iu):
-        cand[i, j] = True
+    cand[np.arange(0, size, 2), np.arange(1, size, 2)] = True
     cand = np.triu(cand | cand.T, 1)
-    cuts = []
+    eu, ev = np.nonzero(cand)
+    lp = _MatchingLP(size, eu, ev, w[eu, ev])
     counts = {"lp_rounds": 0, "cuts": 0, "priced": 0, "milp_solves": 0}
 
     def enter(mask) -> int:
-        new = np.triu(mask & ~cand, 1)
-        cand[new] = True
-        added = int(new.sum())
-        counts["priced"] += added
-        return added
+        # new pairs are appended, so lp.eu/lp.ev stay in column order
+        nu, nv = np.nonzero(np.triu(mask & ~cand, 1))
+        if nu.size:
+            cand[nu, nv] = True
+            lp.add_pairs(nu, nv, w[nu, nv])
+            counts["priced"] += nu.size
+        return nu.size
 
     def result(chosen) -> Matching:
-        return _finish(D, zip(eu[chosen].tolist(), ev[chosen].tolist()), "optimal", **counts)
+        return _finish(D, zip(lp.eu[chosen].tolist(), lp.ev[chosen].tolist()), "optimal",
+                       **counts)
 
     cut_rounds = 0
     while True:
-        eu, ev = np.nonzero(cand)
-        x, y, z, lower = _matching_lp(size, eu, ev, w[eu, ev], cuts)
+        x, y, z, lower = lp.solve()
         counts["lp_rounds"] += 1
-        rc = _reduced_costs(w, y, z, cuts)
+        rc = _reduced_costs(w, y, z, lp.members)
         if enter(rc < -_TOL):
             continue
         if not (np.abs(x - np.round(x)) > _FRACTIONAL).any():
             return result(x > 0.5)
-        odd = _odd_components(size, eu, ev, x) if cut_rounds < _CUT_ROUNDS else []
+        odd = _odd_components(size, lp.eu, lp.ev, x) if cut_rounds < _CUT_ROUNDS else []
         if not odd:
             break
-        cuts += odd
+        lp.add_cuts(odd)
         counts["cuts"] += len(odd)
         cut_rounds += 1
     while True:
-        chosen, upper = _milp_matching(size, eu, ev, w[eu, ev])
+        chosen, upper = _milp_matching(size, lp.eu, lp.ev, w[lp.eu, lp.ev])
         counts["milp_solves"] += 1
         # the slack covers the rounding of U and L, which are sums of many weights
         if not enter(rc <= upper - lower + _TOL * max(1.0, abs(upper))):
             return result(chosen)
-        eu, ev = np.nonzero(cand)
 
 
 def greedy_matching(D: DistanceMatrix, tie_seed: int = 0) -> Matching:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
+from gibbsmatch import crossmatch
 from gibbsmatch.crossmatch import (CrossmatchOutcome, DistanceMatrix, Matching,
                                    cross_count, crossmatch_test, greedy_matching,
                                    null_pmf, optimal_matching, p_value, pairwise_distances)
@@ -302,7 +303,7 @@ def stage_instance(seed, n, bits):
 
 
 @pytest.mark.parametrize("seed, n, bits, stages", [
-    (14, 30, 12, (True, False, 0)),   # pricing alone: the LP turns integral
+    (13, 30, 12, (True, False, 0)),   # pricing alone: the LP turns integral
     (0, 15, 6, (False, True, 0)),     # odd-set cuts alone
     (69, 15, 6, (False, True, 1)),    # cuts, then the integer-program finish
     (7, 25, 10, (True, True, 2)),     # all stages; pairs enter by reduced-cost fixing
@@ -317,7 +318,8 @@ def test_solver_stages_on_pinned_instances(seed, n, bits, stages):
 def test_nearest_neighbour_candidates_without_a_perfect_matching():
     # two far-apart groups of 11 points: every point's 10 nearest neighbours
     # lie in its own group, and an odd group cannot be matched within itself,
-    # so the greedy pairs must supply the one crossing pair
+    # so the seed pairs (0, 1), ..., (20, 21) must supply the one crossing
+    # pair, (10, 11)
     rng = derive_rng(31)
     X = np.zeros((11, 40), dtype=np.uint8)
     Y = np.ones((11, 40), dtype=np.uint8)
@@ -327,6 +329,70 @@ def test_nearest_neighbour_candidates_without_a_perfect_matching():
     m = optimal_matching(D, tie_seed=2)
     assert m.pairs == milp_pairs(D, tie_seed=2)
     assert cross_count(m, 11) == 1
+
+
+def test_priced_pairs_carry_their_cut_entries(monkeypatch):
+    # Pooled-100, 16-bit Bernoulli instances with heavily tied distances. On
+    # some of them a pair prices in after odd-set cuts exist; its column must
+    # carry a 1 in every cut row it crosses. Without those entries seeds 105
+    # and 109 (0.5/0.5) and 102 and 104 (0.2/0.8) end on matchings of equal
+    # integer cost that are not the jittered optimum.
+    resolved_after_late_pairs = 0
+    add_pairs, solve = crossmatch._MatchingLP.add_pairs, crossmatch._MatchingLP.solve
+
+    def spy_add_pairs(lp, *args):
+        add_pairs(lp, *args)
+        lp.late_pairs = len(lp.members) > 0
+
+    def spy_solve(lp):
+        nonlocal resolved_after_late_pairs
+        resolved_after_late_pairs += getattr(lp, "late_pairs", False)
+        lp.late_pairs = False
+        return solve(lp)
+
+    monkeypatch.setattr(crossmatch._MatchingLP, "add_pairs", spy_add_pairs)
+    monkeypatch.setattr(crossmatch._MatchingLP, "solve", spy_solve)
+    for p_x, p_y in ((0.5, 0.5), (0.2, 0.8)):
+        for seed in range(100, 110):
+            X = (derive_rng(seed, 0).random((50, 16)) < p_x).astype(np.uint8)
+            Y = (derive_rng(seed, 1).random((50, 16)) < p_y).astype(np.uint8)
+            D = pairwise_distances(X, Y)
+            assert optimal_matching(D, tie_seed=seed).pairs == milp_pairs(D, tie_seed=seed)
+    assert resolved_after_late_pairs > 0
+
+
+def test_matching_lp_on_the_private_highs_api():
+    # _MatchingLP drives scipy's private HiGHS binding (_highspy._core._Highs).
+    # Two triangles have a known LP optimum, so a change in that binding's
+    # calls, option names, column order or dual signs fails here. (Four
+    # points would not do: every odd set of four points has the cut of a
+    # single point, so a cut row would repeat a degree row.)
+    lp = crossmatch._MatchingLP(6, np.array([0, 0, 1, 3, 3, 4]), np.array([1, 2, 2, 4, 5, 5]),
+                                np.ones(6))
+    for name, value in crossmatch._LP_OPTIONS:
+        assert lp.highs.getOptionValue(name)[1] == value
+    x, y, z, value = lp.solve()
+    # x = 1/2 on every edge, and the vertex duals y = 1/2 are unique
+    np.testing.assert_allclose(x, 0.5, atol=1e-12)
+    np.testing.assert_allclose(y, 0.5, atol=1e-12)
+    assert z.size == 0 and value == pytest.approx(3.0)
+    # a bridge (2, 3) of cost 10 and the cut x(delta({0, 1, 2})) >= 1 leave one
+    # solution: (0, 1), (4, 5) and the bridge, appended as the last column
+    lp.add_pairs(np.array([2]), np.array([3]), np.array([10.0]))
+    lp.add_cuts([np.array([True, True, True, False, False, False])])
+    x, y, z, value = lp.solve()
+    np.testing.assert_allclose(x, [1, 0, 0, 0, 0, 1, 1], atol=1e-12)
+    assert value == pytest.approx(12.0)
+    # the >= row's dual: y2 + y3 + z = 10, where y2 and y3 are at most 1/2
+    assert z.shape == (1,) and z[0] >= 9.0 - 1e-9
+    assert y.sum() + z.sum() == pytest.approx(value)
+    crossing = np.array([0, 0, 0, 0, 0, 0, 1])
+    rc = np.array([1, 1, 1, 1, 1, 1, 10]) - y[lp.eu] - y[lp.ev] - z[0] * crossing
+    assert (rc >= -1e-9).all() and np.abs(rc[x > 0.5]).max() < 1e-9
+    # any status but optimal raises: two points and no candidate pair
+    with pytest.raises(RuntimeError, match="matching LP failed"):
+        crossmatch._MatchingLP(2, np.zeros(0, dtype=int), np.zeros(0, dtype=int),
+                               np.zeros(0)).solve()
 
 
 def test_optimal_agrees_with_blossom_solver():
