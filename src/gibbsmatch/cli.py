@@ -10,15 +10,18 @@ Subcommands:
 
 All randomness hangs off the required --seed flag; repeated invocations with
 the same inputs are byte-identical. Commands read an optional JSON run
-config (--config); unknown keys anywhere in it are rejected. Long-running
-commands announce a {"event": "start", ...} line on stderr before the main
-loop; failures print one {"error": ..., "message": ...} JSON line on stderr
-and exit 2.
+config (--config); unknown keys anywhere in it are rejected. The digital,
+analog and train kinds and the energy, chain and sweep.configs sections
+take their keys, types and required keys from the dataclass they build.
+Long-running commands announce a {"event": "start", ...} line on stderr
+before the main loop; failures print one {"error": ..., "message": ...}
+JSON line on stderr and exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -61,47 +64,58 @@ _IS_TYPE = {
     _INTS: lambda v: isinstance(v, list) and all(_is_int(x) for x in v),
 }
 
-_ROOT_KEYS = {"model", "data", "chain", "sampler_a", "sampler_b", "trials",
-              "energy", "sweep", "out_dir"}
+# A dataclass field's annotation (a string under postponed evaluation) as a config type.
+_FIELD_TYPES = {"int": _INT, "float": _REAL, "bool": _BOOL, "str": _STR}
+
+
+def _fields(cls, *skip: str) -> dict:
+    """The config keys of a section that builds cls: its fields not in skip, with their types."""
+    return {f.name: _FIELD_TYPES[f.type] for f in dataclasses.fields(cls) if f.name not in skip}
+
+
+def _required(cls) -> tuple:
+    """The fields of cls without a default, which a section that builds cls must set."""
+    return tuple(f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING)
+
+
+def _build(cls, spec: dict):
+    """cls from the keys of a validated config section that name its fields."""
+    return cls(**{f.name: spec[f.name] for f in dataclasses.fields(cls) if f.name in spec})
+
+
+# Kinds and sections that build a dataclass take its fields; the rest list their keys.
 _MODEL_KEYS = {
     "random": {"kind": _STR, "n_visible": _INT, "n_hidden": _INT, "sigma": _REAL},
     "file": {"kind": _STR, "path": _STR},
-    "train": {"kind": _STR, "n_hidden": _INT, "epochs": _INT, "learning_rate": _REAL,
-              "batch_size": _INT, "init_sigma": _REAL},
+    "train": {"kind": _STR, "n_hidden": _INT, **_fields(TrainConfig)},
 }
 _DATA_KEYS = {
     "synth": {"kind": _STR, "dataset": _STR, "r": _INT, "count": _INT, "noise": _REAL},
     "idx": {"kind": _STR, "path": _STR, "threshold": _REAL},
 }
-_CHAIN_KEYS = {"burn_in": _INT, "thin": _INT, "init": _STR}
+_CHAIN_KEYS = _fields(ChainSettings, "n_samples", "init_vector")
 _SAMPLER_KEYS = {
     "ideal": {"kind": _STR},
-    "digital": {"kind": _STR, "window": _INT, "threshold": _INT, "threshold_bits": _INT,
-                "leak": _INT, "scale": _REAL, "leak_density": _INT, "random_groups": _BOOL},
-    "analog": {"kind": _STR, "capacitance": _REAL, "g_leak": _REAL, "threshold": _REAL,
-               "v_reset": _REAL, "noise_sigma": _REAL, "dt": _REAL, "window": _INT,
-               "noise_density": _INT},
+    "digital": {"kind": _STR, **_fields(DigitalSamplerConfig)},
+    "analog": {"kind": _STR, **_fields(AnalogConfig)},
     "bernoulli": {"kind": _STR, "rate": _REAL, "n_bits": _INT},
 }
-_TRIALS_KEYS = {"num_trials": _INT, "n_per_trial": _INT, "matching": _STR}
-_ENERGY_KEYS = {"e_active": _REAL, "e_core_static": _REAL, "core_size": _INT}
+_TRIALS_KEYS = {"num_trials": _INT, "n_per_trial": _INT}
+_ENERGY_KEYS = _fields(EnergyModel)
 _SWEEP_KEYS = {"configs": _LIST, "densities": _INTS}
-_SWEEP_CONFIG_KEYS = {"label": _STR, "window": _INT, "threshold": _INT,
-                      "threshold_bits": _INT, "leak": _INT, "scale": _REAL,
-                      "leak_density": _INT}
-# Fields a kinded section must set, by kind (kind names differ across sections):
-# the code that reads them has no default.
-_DIGITAL_REQUIRED = ("window", "threshold", "threshold_bits", "leak", "scale")
+_SWEEP_CONFIG_KEYS = {"label": _STR, **_fields(DigitalSamplerConfig, "random_groups")}
+# Fields a kinded section must set, by kind (kind names differ across sections).
 _REQUIRED = {
     "random": ("n_visible", "n_hidden", "sigma"),
     "file": ("path",),
-    "train": ("n_hidden",),
+    "train": ("n_hidden",) + _required(TrainConfig),
     "synth": ("dataset", "r", "count", "noise"),
     "idx": ("path",),
-    "digital": _DIGITAL_REQUIRED,
+    "digital": _required(DigitalSamplerConfig),
+    "analog": _required(AnalogConfig),
     "bernoulli": ("rate", "n_bits"),
 }
-_SWEEP_CONFIG_REQUIRED = ("label",) + _DIGITAL_REQUIRED
+_SWEEP_CONFIG_REQUIRED = ("label",) + _required(DigitalSamplerConfig)
 
 DEFAULT_DENSITIES = (2, 5, 10, 50, 100, 200, 255)
 
@@ -149,32 +163,20 @@ def _check_kinded(obj, tables, where: str) -> None:
     _check_fields(obj, tables[kind], where, _REQUIRED.get(kind, ()))
 
 
+# The object sections in check order, each with its check and key table.
+_SECTIONS = {"model": (_check_kinded, _MODEL_KEYS), "data": (_check_kinded, _DATA_KEYS),
+             "chain": (_check_fields, _CHAIN_KEYS), "sampler_a": (_check_kinded, _SAMPLER_KEYS),
+             "sampler_b": (_check_kinded, _SAMPLER_KEYS), "trials": (_check_fields, _TRIALS_KEYS),
+             "energy": (_check_fields, _ENERGY_KEYS), "sweep": (_check_fields, _SWEEP_KEYS)}
+
+
 def validate_run_config(user: dict) -> None:
-    _check_keys(user, _ROOT_KEYS, "config")
-    if "model" in user:
-        _check_kinded(user["model"], _MODEL_KEYS, "model")
-    if "data" in user:
-        _check_kinded(user["data"], _DATA_KEYS, "data")
-    if "chain" in user:
-        _check_fields(user["chain"], _CHAIN_KEYS, "chain")
-    for side in ("sampler_a", "sampler_b"):
-        if side in user:
-            _check_kinded(user[side], _SAMPLER_KEYS, side)
-    if "trials" in user:
-        _check_fields(user["trials"], _TRIALS_KEYS, "trials")
-        # Every test uses the exact matching; for one release the retired key
-        # may still name it, and then has no effect.
-        matching = user["trials"].get("matching", "auto")
-        if matching not in ("auto", "optimal"):
-            raise ConfigError("trials.matching has no effect and may only be 'auto' or "
-                              f"'optimal', got {matching!r}")
-    if "energy" in user:
-        _check_fields(user["energy"], _ENERGY_KEYS, "energy")
-    if "sweep" in user:
-        _check_fields(user["sweep"], _SWEEP_KEYS, "sweep")
-        for i, entry in enumerate(user["sweep"].get("configs", [])):
-            _check_fields(entry, _SWEEP_CONFIG_KEYS, f"sweep.configs[{i}]",
-                          _SWEEP_CONFIG_REQUIRED)
+    _check_keys(user, {*_SECTIONS, "out_dir"}, "config")
+    for where, (check, table) in _SECTIONS.items():
+        if where in user:
+            check(user[where], table, where)
+    for i, entry in enumerate(user.get("sweep", {}).get("configs", [])):
+        _check_fields(entry, _SWEEP_CONFIG_KEYS, f"sweep.configs[{i}]", _SWEEP_CONFIG_REQUIRED)
     if "out_dir" in user and not isinstance(user["out_dir"], str):
         raise ConfigError("out_dir must be a string")
 
@@ -204,12 +206,8 @@ def _model_from_config(cfg: dict, seed: int) -> RbmModel:
         return load_model(spec["path"])
     if spec["kind"] == "train":
         data = _dataset_from_config(cfg, seed)
-        return cd1_train(data, data.shape[1], spec["n_hidden"], _train_config(spec), seed)
+        return cd1_train(data, data.shape[1], spec["n_hidden"], _build(TrainConfig, spec), seed)
     raise ConfigError(f"model kind {spec['kind']!r} not usable here")
-
-
-def _train_config(spec: dict) -> TrainConfig:
-    return TrainConfig(**{k: v for k, v in spec.items() if k not in ("kind", "n_hidden")})
 
 
 def _dataset_from_config(cfg: dict, seed: int) -> np.ndarray:
@@ -221,17 +219,7 @@ def _dataset_from_config(cfg: dict, seed: int) -> np.ndarray:
 
 
 def _settings_from_config(cfg: dict, n_samples: int) -> ChainSettings:
-    chain = cfg["chain"]
-    return ChainSettings(n_samples=n_samples, burn_in=chain["burn_in"],
-                         thin=chain["thin"], init=chain["init"])
-
-
-def _digital_from(spec: dict) -> DigitalSamplerConfig:
-    return DigitalSamplerConfig(
-        window=spec["window"], threshold=spec["threshold"],
-        threshold_bits=spec["threshold_bits"], leak=spec["leak"], scale=spec["scale"],
-        leak_density=spec.get("leak_density", 1),
-        random_groups=spec.get("random_groups", False))
+    return _build(ChainSettings, {**cfg["chain"], "n_samples": n_samples})
 
 
 def _sampler_from_config(cfg: dict, seed: int, n_samples: int) -> SamplerSpec:
@@ -248,21 +236,17 @@ def _sampler_from_config(cfg: dict, seed: int, n_samples: int) -> SamplerSpec:
     if kind == "ideal":
         kernel = IdealKernel(model)
     elif kind == "digital":
-        kernel = DigitalKernel(model, _digital_from(spec), seed)
+        kernel = DigitalKernel(model, _build(DigitalSamplerConfig, spec), seed)
     else:
-        kernel = AnalogKernel(model, AnalogConfig(**{k: v for k, v in spec.items()
-                                                     if k != "kind"}))
+        kernel = AnalogKernel(model, _build(AnalogConfig, spec))
     return SamplerSpec(kernel, _settings_from_config(cfg, n_samples))
 
 
 def _leak_base_from_config(cfg: dict) -> DigitalSamplerConfig:
     """The leak sweep's digital config: sampler_b's when digital, else preset G2."""
     spec = cfg["sampler_b"]
-    return _digital_from(spec) if spec["kind"] == "digital" else dict(PRESET_CONFIGS)["G2"]
-
-
-def _energy_from_config(cfg: dict) -> EnergyModel:
-    return EnergyModel(**cfg["energy"])
+    return (_build(DigitalSamplerConfig, spec) if spec["kind"] == "digital"
+            else dict(PRESET_CONFIGS)["G2"])
 
 
 def _trial_fields(cfg: dict, args) -> tuple[int, int]:
@@ -298,7 +282,7 @@ def cmd_train(args) -> int:
     out = _out_dir(cfg, args)
     data = _dataset_from_config(cfg, args.seed)
     spec = cfg["model"]
-    hyper = _train_config(spec)
+    hyper = _build(TrainConfig, spec)
     model, history = cd1_train(data, data.shape[1], spec["n_hidden"], hyper,
                                args.seed, return_history=True)
     path = out / "model.txt"
@@ -337,7 +321,7 @@ def _sweep_configs(cfg: dict) -> list[tuple[str, DigitalSamplerConfig]]:
     entries = cfg["sweep"].get("configs")
     if not entries:
         return list(PRESET_CONFIGS)
-    return [(e["label"], _digital_from(e)) for e in entries]
+    return [(e["label"], _build(DigitalSamplerConfig, e)) for e in entries]
 
 
 def cmd_sweep_params(args) -> int:
@@ -351,7 +335,7 @@ def cmd_sweep_params(args) -> int:
               n_per_trial=n_per_trial)
     reports = parameter_sweep(model, configs, settings, n_per_trial=n_per_trial,
                               num_trials=num_trials, base_seed=args.seed,
-                              energy_model=_energy_from_config(cfg))
+                              energy_model=_build(EnergyModel, cfg["energy"]))
     _emit(out / "sweep_params.csv", sweep_csv(reports))
     _emit(out / "epeff_bars.svg",
           svg_bar_chart([r.label for r in reports], [r.epeff for r in reports],
@@ -372,7 +356,7 @@ def cmd_sweep_leak(args) -> int:
     reports = leak_density_sweep(model, base, densities, settings,
                                  n_per_trial=n_per_trial, num_trials=num_trials,
                                  base_seed=args.seed,
-                                 energy_model=_energy_from_config(cfg))
+                                 energy_model=_build(EnergyModel, cfg["energy"]))
     labels = [str(d) for d in densities]
     _emit(out / "sweep_leak.csv", sweep_csv(reports))
     _emit(out / "leak_mean_p.svg",

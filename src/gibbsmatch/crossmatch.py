@@ -56,10 +56,13 @@ _NEIGHBOURS = 10       # candidate pairs per point: its nearest by jittered weig
 _CUT_ROUNDS = 10       # odd-set cut rounds before the integer-program finish
 _TOL = 1e-9            # reduced costs below -_TOL price a pair in
 _FRACTIONAL = 1e-6     # LP values further than this from 0 and 1 are fractional
-# The dual simplex on the calling thread, from the previous basis (presolve
-# off), with tolerances far below HiGHS's 1e-7 defaults so that no candidate
-# prices below -_TOL and the final duals bound every matching.
-_LP_OPTIONS = (("output_flag", False), ("threads", 1), ("presolve", "off"),
+# The serial dual simplex (simplex_strategy 1) on the calling thread, from the
+# previous basis (presolve off), with tolerances far below HiGHS's 1e-7
+# defaults so that no candidate prices below -_TOL and the final duals bound
+# every matching. HiGHS keeps one thread scheduler per process and fails any
+# run whose non-zero `threads` differs from its size, so `threads` 0 accepts
+# whatever scheduler an earlier HiGHS user in the process built.
+_LP_OPTIONS = (("output_flag", False), ("threads", 0), ("presolve", "off"),
                ("solver", "simplex"), ("simplex_strategy", 1),
                ("primal_feasibility_tolerance", 1e-10), ("dual_feasibility_tolerance", 1e-10))
 

@@ -11,9 +11,12 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from gibbsmatch import crossmatch
+from gibbsmatch import cli, crossmatch
 from gibbsmatch.cli import ConfigError, load_run_config, main, validate_run_config
 from gibbsmatch.formats import load_samples
+from gibbsmatch.harness import EnergyModel
+from gibbsmatch.neuro import AnalogConfig, DigitalSamplerConfig
+from gibbsmatch.rbm import ChainSettings, TrainConfig
 from oracles import parse_sweep_csv
 
 
@@ -63,6 +66,8 @@ def test_unknown_keys_rejected_everywhere():
         validate_run_config({"sampler_b": {"kind": "fpga"}})
     with pytest.raises(ConfigError, match=r"sweep.configs\[0\]"):
         validate_run_config({"sweep": {"configs": [{"label": "x", "volts": 5}]}})
+    with pytest.raises(ConfigError, match=r"unknown key\(s\) \['matching'\] in trials"):
+        validate_run_config({"trials": {"matching": "greedy"}})
     with pytest.raises(ConfigError, match="out_dir"):
         validate_run_config({"out_dir": 7})
 
@@ -228,16 +233,11 @@ def test_trial_flags_override_config(tmp_path, capsys):
     assert doc["n_per_trial"] == 6
 
 
-@pytest.mark.parametrize("matching", ["auto", "optimal"])
-def test_retired_matching_key_has_no_effect(tmp_path, matching):
-    def null_check(name, **trials):
-        cfg = write_cfg(tmp_path, name=f"{name}.json",
-                        trials={"num_trials": 3, "n_per_trial": 8, **trials})
-        out = tmp_path / name
-        assert main(["null-check", "--seed", "4", "--config", cfg, "--out", str(out)]) == 0
-        return [(out / f).read_bytes() for f in ("null_check.json", "null_check.csv")]
-
-    assert null_check(matching, matching=matching) == null_check("without")
+def test_config_out_dir_is_used_without_out_flag(tmp_path):
+    cfg = write_cfg(tmp_path, out_dir=str(tmp_path / "from-config"))
+    assert main(["null-check", "--seed", "2", "--config", cfg, "--trials", "2"]) == 0
+    written = sorted(p.name for p in (tmp_path / "from-config").iterdir())
+    assert written == ["null_check.csv", "null_check.json"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -279,8 +279,10 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
                                   "random_groups": 1}}, "sampler_b.random_groups"),
     ("sweep-params", {"sweep": {"configs": 5}}, "sweep.configs"),
     ("null-check", {"model": {"kind": ["random"]}}, "model.kind"),
-    # the retired key takes no value that would select another matcher
-    ("null-check", {"trials": {"matching": "greedy"}}, "trials.matching"),
+    # the retired key is now an unknown key, whatever its value
+    pytest.param("null-check", {"trials": {"matching": "greedy"}},
+                 "unknown key(s) ['matching'] in trials",
+                 id="null-check-sections11-trials.matching"),
 ])
 def test_wrong_typed_config_value_exits_2(tmp_path, capsys, command, sections, field):
     path = tmp_path / "bad.json"
@@ -325,6 +327,98 @@ def test_missing_required_config_field_exits_2(tmp_path, capsys, command, sectio
     err = stderr_events(capsys)[-1]
     assert err["error"] == "ConfigError"
     assert err["message"] == f"{field} is required"
+
+
+# Off-default values for every field of the dataclasses that config sections
+# build. ChainSettings.init keeps its default: "given-vector" needs an
+# init_vector, which no config can give.
+DIGITAL = {"window": 3, "threshold": -5, "threshold_bits": 7, "leak": 20, "scale": 30.5,
+           "leak_density": 2}
+ANALOG = {"capacitance": 2.0, "g_leak": 0.5, "threshold": 0.7, "v_reset": 0.1,
+          "noise_sigma": 1.2, "dt": 0.05, "window": 10, "noise_density": 2}
+TRAIN = {"epochs": 3, "learning_rate": 0.05, "batch_size": 16, "init_sigma": 0.02}
+ENERGY = {"e_active": 2.0, "e_core_static": 5.0, "core_size": 128}
+CHAIN = {"burn_in": 7, "thin": 3, "init": "random-uniform"}
+DIGITAL_REQUIRED = {"window", "threshold", "threshold_bits", "leak", "scale"}
+
+
+def sampler_a_cfg(args, kwargs):
+    return args[0].sampler_a.kernel.cfg
+
+
+# (where, a section setting every key it accepts, its required keys, and how
+# the command that builds its dataclass hands it on: command, the cli name it
+# calls with the object, how to pick the object from that call, the object)
+SCHEMA = [
+    ("model", {"kind": "random", "n_visible": 6, "n_hidden": 3, "sigma": 0.2},
+     {"n_visible", "n_hidden", "sigma"}, None),
+    ("model", {"kind": "file", "path": "m.txt"}, {"path"}, None),
+    ("model", {"kind": "train", "n_hidden": 5, **TRAIN}, {"n_hidden"},
+     ("train", "cd1_train", lambda args, kwargs: args[2:4], (5, TrainConfig(**TRAIN)))),
+    ("data", {"kind": "synth", "dataset": "bars", "r": 8, "count": 64, "noise": 0.2},
+     {"dataset", "r", "count", "noise"}, None),
+    ("data", {"kind": "idx", "path": "d.idx", "threshold": 0.4}, {"path"}, None),
+    ("chain", CHAIN, set(),
+     ("sweep-params", "parameter_sweep", lambda args, kwargs: args[2],
+      ChainSettings(n_samples=10, **CHAIN))),
+    ("sampler_a", {"kind": "ideal"}, set(), None),
+    ("sampler_a", {"kind": "digital", **DIGITAL, "random_groups": True}, DIGITAL_REQUIRED,
+     ("null-check", "run_trials", sampler_a_cfg,
+      DigitalSamplerConfig(**DIGITAL, random_groups=True))),
+    ("sampler_a", {"kind": "analog", **ANALOG}, set(),
+     ("null-check", "run_trials", sampler_a_cfg, AnalogConfig(**ANALOG))),
+    ("sampler_a", {"kind": "bernoulli", "rate": 0.3, "n_bits": 5}, {"rate", "n_bits"}, None),
+    ("sampler_b", {"kind": "ideal"}, set(), None),
+    ("sampler_b", {"kind": "digital", **DIGITAL, "random_groups": True}, DIGITAL_REQUIRED,
+     ("sweep-leak", "leak_density_sweep", lambda args, kwargs: args[1],
+      DigitalSamplerConfig(**DIGITAL, random_groups=True))),
+    ("sampler_b", {"kind": "analog", **ANALOG}, set(), None),
+    ("sampler_b", {"kind": "bernoulli", "rate": 0.3, "n_bits": 5}, {"rate", "n_bits"}, None),
+    ("trials", {"num_trials": 3, "n_per_trial": 6}, set(), None),
+    ("energy", ENERGY, set(),
+     ("sweep-params", "parameter_sweep", lambda args, kwargs: kwargs["energy_model"],
+      EnergyModel(**ENERGY))),
+    ("sweep", {"configs": [], "densities": [1, 3]}, set(), None),
+    ("sweep.configs[0]", {"label": "x", **DIGITAL}, {"label"} | DIGITAL_REQUIRED,
+     ("sweep-params", "parameter_sweep", lambda args, kwargs: args[1],
+      [("x", DigitalSamplerConfig(**DIGITAL))])),
+]
+
+
+class Built(Exception):
+    """Stops a command at the call that receives what its config built."""
+
+
+def sections_with(where, section):
+    if where == "sweep.configs[0]":
+        return {"sweep": {"configs": [section]}}
+    return {where: section}
+
+
+@pytest.mark.parametrize("where, section, required, built", SCHEMA,
+                         ids=[f"{w}-{s['kind']}" if "kind" in s else w for w, s, *_ in SCHEMA])
+def test_config_schema_is_pinned(tmp_path, monkeypatch, where, section, required, built):
+    # every accepted key at once, and only the required ones, validate
+    validate_run_config(sections_with(where, section))
+    minimal = {k: v for k, v in section.items() if k in required or k == "kind"}
+    validate_run_config(sections_with(where, minimal))
+    for key in required:
+        with pytest.raises(ConfigError) as exc:
+            validate_run_config(sections_with(where, without(section, key)))
+        assert str(exc.value) == f"{where}.{key} is required"
+    if built is None:
+        return
+    # the command builds the same object as the dataclass given those values
+    command, name, pick, expected = built
+
+    def stop(*args, **kwargs):
+        raise Built(pick(args, kwargs))
+
+    monkeypatch.setattr(cli, name, stop)
+    cfg = write_cfg(tmp_path, **sections_with(where, section))
+    with pytest.raises(Built) as exc:
+        main([command, "--seed", "1", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert exc.value.args[0] == expected
 
 
 def test_numbers_accepted_where_reals_are_expected():

@@ -10,6 +10,10 @@ matcher against a from-scratch replay of its documented tie-break contract.
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -393,6 +397,34 @@ def test_matching_lp_on_the_private_highs_api():
     with pytest.raises(RuntimeError, match="matching LP failed"):
         crossmatch._MatchingLP(2, np.zeros(0, dtype=int), np.zeros(0, dtype=int),
                                np.zeros(0)).solve()
+
+
+# HiGHS keeps one thread scheduler per process, so this runs in a fresh one.
+_AFTER_OTHER_HIGHS = """
+import numpy as np
+from scipy.optimize._highspy import _core
+from gibbsmatch.crossmatch import optimal_matching, pairwise_distances
+
+other = _core._Highs()
+other.setOptionValue("output_flag", False)
+other.setOptionValue("threads", 2)
+other.run()
+bits = np.random.default_rng(0).integers(0, 2, size=(2, 10, 16))
+print(optimal_matching(pairwise_distances(*bits), tie_seed=0).total_cost)
+"""
+
+
+def test_matching_after_another_highs_thread_count():
+    # An earlier HiGHS run with another thread count builds the scheduler.
+    src_root = str(Path(crossmatch.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src_root,
+                                                       os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _AFTER_OTHER_HIGHS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    bits = np.random.default_rng(0).integers(0, 2, size=(2, 10, 16))
+    assert int(proc.stdout) == optimal_matching(pairwise_distances(*bits), tie_seed=0).total_cost
 
 
 def test_optimal_agrees_with_blossom_solver():
