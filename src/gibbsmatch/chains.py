@@ -84,17 +84,11 @@ class BernoulliKernel:
         return (u < self.rate).astype(np.float64)
 
 
-def _initial_states(settings: ChainSettings, n_visible: int, seed: int,
-                    paths: Sequence[tuple]) -> np.ndarray:
+def _initial_states(n_visible: int, seed: int, paths: Sequence[tuple]) -> np.ndarray:
+    """Fair-coin visible bits from each chain's init stream (ChainSettings.init)."""
     v = np.empty((len(paths), n_visible), dtype=np.float64)
-    if settings.init == "random-uniform":
-        for c, path in enumerate(paths):
-            v[c] = derive_rng(seed, *path, _INIT).random(n_visible) < 0.5
-    else:
-        vec = settings.init_vector
-        if vec.shape != (n_visible,):
-            raise ValueError(f"init_vector has shape {vec.shape}, expected ({n_visible},)")
-        v[:] = vec
+    for c, path in enumerate(paths):
+        v[c] = derive_rng(seed, *path, _INIT).random(n_visible) < 0.5
     return v
 
 
@@ -109,7 +103,7 @@ def run_chains(kernel: GibbsKernel, settings: ChainSettings, seed: int,
     if n_chains == 0:
         return np.empty((0, settings.n_samples, kernel.n_visible), dtype=np.uint8)
 
-    v = _initial_states(settings, kernel.n_visible, seed, paths)
+    v = _initial_states(kernel.n_visible, seed, paths)
     nu = kernel.n_uniforms_per_step
     nz = kernel.n_normals_per_step
     u_rngs = [derive_rng(seed, *p, _UNIFORM) for p in paths] if nu else []

@@ -93,7 +93,7 @@ _DATA_KEYS = {
     "synth": {"kind": _STR, "dataset": _STR, "r": _INT, "count": _INT, "noise": _REAL},
     "idx": {"kind": _STR, "path": _STR, "threshold": _REAL},
 }
-_CHAIN_KEYS = _fields(ChainSettings, "n_samples", "init_vector")
+_CHAIN_KEYS = _fields(ChainSettings, "n_samples")
 _SAMPLER_KEYS = {
     "ideal": {"kind": _STR},
     "digital": {"kind": _STR, **_fields(DigitalSamplerConfig)},
@@ -125,7 +125,7 @@ def _default_config() -> dict:
         "model": {"kind": "random", "n_visible": 16, "n_hidden": 8, "sigma": 0.4},
         "data": {"kind": "synth", "dataset": "two-cluster", "r": 16, "count": 512,
                  "noise": 0.1},
-        "chain": {"burn_in": 1000, "thin": 10, "init": "random-uniform"},
+        "chain": {"burn_in": 1000, "thin": 10},
         "sampler_a": {"kind": "ideal"},
         "sampler_b": {"kind": "ideal"},
         "trials": {"num_trials": 2000, "n_per_trial": 50},
@@ -333,8 +333,8 @@ def cmd_sweep_params(args) -> int:
     configs = _sweep_configs(cfg)
     _announce("sweep-params", num_configs=len(configs), num_trials=num_trials,
               n_per_trial=n_per_trial)
-    reports = parameter_sweep(model, configs, settings, n_per_trial=n_per_trial,
-                              num_trials=num_trials, base_seed=args.seed,
+    reports = parameter_sweep(model, configs, settings, num_trials=num_trials,
+                              base_seed=args.seed,
                               energy_model=_build(EnergyModel, cfg["energy"]))
     _emit(out / "sweep_params.csv", sweep_csv(reports))
     _emit(out / "epeff_bars.svg",
@@ -354,8 +354,7 @@ def cmd_sweep_leak(args) -> int:
     _announce("sweep-leak", densities=list(densities), num_trials=num_trials,
               n_per_trial=n_per_trial)
     reports = leak_density_sweep(model, base, densities, settings,
-                                 n_per_trial=n_per_trial, num_trials=num_trials,
-                                 base_seed=args.seed,
+                                 num_trials=num_trials, base_seed=args.seed,
                                  energy_model=_build(EnergyModel, cfg["energy"]))
     labels = [str(d) for d in densities]
     _emit(out / "sweep_leak.csv", sweep_csv(reports))
@@ -373,12 +372,12 @@ def cmd_null_check(args) -> int:
     out = _out_dir(cfg, args)
     num_trials, n_per_trial = _trial_fields(cfg, args)
     spec = _sampler_from_config(cfg, args.seed, n_per_trial)
-    plan = TrialPlan(sampler_a=spec, sampler_b=spec, n_per_trial=n_per_trial,
-                     num_trials=num_trials, base_seed=args.seed)
+    plan = TrialPlan(sampler_a=spec, sampler_b=spec, num_trials=num_trials,
+                     base_seed=args.seed)
     _announce("null-check", num_trials=num_trials, n_per_trial=n_per_trial,
-              sampler=spec.label())
+              sampler=spec.kernel.label)
     stats = run_trials(plan)
-    doc = stats_json(stats, {"sampler": spec.label(), "n_per_trial": n_per_trial})
+    doc = stats_json(stats, {"sampler": spec.kernel.label, "n_per_trial": n_per_trial})
     sys.stdout.write(doc)
     _emit(out / "null_check.csv", histogram_csv(stats, HISTOGRAM_EDGES))
     (out / "null_check.json").write_bytes(doc.encode("ascii"))
@@ -438,9 +437,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, MemoryError) as exc:
+    except (ValueError, KeyError, OSError, MemoryError, RuntimeError) as exc:
         # ConfigError and ModelFormatError are ValueErrors; a MemoryError
-        # means an input too large to process.
+        # means an input too large to process; a RuntimeError is a solver failure.
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 2

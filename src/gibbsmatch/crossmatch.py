@@ -252,9 +252,15 @@ class _MatchingLP:
         self.members = np.vstack([self.members, members])
 
     def solve(self):
-        """Solution x, vertex duals y, cut duals z >= 0 and the optimal value."""
+        """Solution x, vertex duals y, cut duals z >= 0 and the optimal value.
+
+        A warm solve that stops short of optimal runs once more from scratch."""
         run = self.highs.run()
         status = self.highs.getModelStatus()
+        if status != _highs.HighsModelStatus.kOptimal:
+            self.highs.clearSolver()
+            run = self.highs.run()
+            status = self.highs.getModelStatus()
         if status != _highs.HighsModelStatus.kOptimal:
             raise RuntimeError(f"matching LP failed: {self.highs.modelStatusToString(status)} "
                                f"(run returned {run})")

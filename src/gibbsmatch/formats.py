@@ -133,17 +133,11 @@ def load_model(path) -> RbmModel:
     return RbmModel(W=np.vstack(w_rows), b_v=b_v, b_h=b_h)
 
 
-def _settings_meta(settings: ChainSettings) -> dict:
-    meta = {"n_samples": settings.n_samples, "burn_in": settings.burn_in,
-            "thin": settings.thin, "init": settings.init}
-    if settings.init_vector is not None:
-        meta["init_vector"] = [int(b) for b in settings.init_vector]
-    return meta
-
-
 def save_samples(batch: SampleBatch, path) -> None:
+    s = batch.settings
     meta = {"sampler_id": batch.sampler_id, "seed": batch.seed,
-            "settings": _settings_meta(batch.settings)}
+            "settings": {"n_samples": s.n_samples, "burn_in": s.burn_in, "thin": s.thin,
+                         "init": s.init}}
     lines = [f"{SAMPLES_MAGIC} {batch.n} {batch.n_visible}",
              json.dumps(meta, separators=(",", ":"))]
     lines += ["".join("1" if b else "0" for b in row) for row in batch.samples]
@@ -157,10 +151,9 @@ def load_samples(path) -> SampleBatch:
     try:
         meta = json.loads(meta_line)
         s = meta["settings"]
-        vec = s.get("init_vector")
-        settings = ChainSettings(
-            n_samples=s["n_samples"], burn_in=s["burn_in"], thin=s["thin"], init=s["init"],
-            init_vector=None if vec is None else np.array(vec, dtype=np.uint8))
+        if s["init"] != ChainSettings.init:
+            raise ValueError(f"unknown init rule {s['init']!r}")
+        settings = ChainSettings(n_samples=s["n_samples"], burn_in=s["burn_in"], thin=s["thin"])
         sampler_id, seed = meta["sampler_id"], meta["seed"]
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ModelFormatError(f"{path}: bad metadata at byte {off}: {exc!r}") from None

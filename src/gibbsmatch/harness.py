@@ -1,12 +1,13 @@
 """Repeated-trial orchestration: sampler pairs, p-value statistics, energy, EPEff.
 
-A trial plan names two sample sources (side 0 and side 1). Each trial i
-derives fresh per-side chain streams from (base_seed, trial, side) and a
-matching tie-break seed from (base_seed, trial, 2), generates n_per_trial
-samples per side, and runs the Crossmatch test. Trials are independent by
-construction: results are identical whatever the batching, and adding trials
-never perturbs earlier ones. A sweep runs every config under one base_seed,
-so it draws the shared reference side once and reuses it for each config.
+A trial plan names two sample sources (side 0 and side 1), each a kernel
+and the ChainSettings whose n_samples is the trial size. Each trial i derives
+fresh per-side chain streams from (base_seed, trial, side) and a matching
+tie-break seed from (base_seed, trial, 2), and runs the Crossmatch test.
+Trials are independent by construction: results are identical whatever the
+batching, and adding trials never perturbs earlier ones. A sweep runs every
+config under one base_seed, so it draws each block of the shared reference
+side once and tests it against every config.
 
 Energy is a two-coefficient linear model (active neuron-ticks plus static
 core-ticks) in arbitrary units; the paper-style efficiency figure EPEff is
@@ -17,7 +18,6 @@ meaningful, not the absolute numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -52,27 +52,24 @@ HISTOGRAM_EDGES = np.round(np.arange(0.0, 1.0001, 0.05), 10)
 class SamplerSpec:
     """One side of a trial plan: a chain kernel and the schedule it runs on.
 
-    run_trials replaces settings.n_samples with the plan's n_per_trial.
+    settings.n_samples is the number of samples the side draws per trial.
     """
 
     kernel: GibbsKernel
     settings: ChainSettings
-
-    def label(self) -> str:
-        return self.kernel.label
 
 
 @dataclass(frozen=True)
 class TrialPlan:
     sampler_a: SamplerSpec
     sampler_b: SamplerSpec
-    n_per_trial: int
     num_trials: int
     base_seed: int
 
     def __post_init__(self):
-        if self.n_per_trial < 2:
-            raise ValueError(f"n_per_trial must be >= 2, got {self.n_per_trial}")
+        n = (self.sampler_a.settings.n_samples, self.sampler_b.settings.n_samples)
+        if n[0] != n[1] or n[0] < 2:
+            raise ValueError(f"both sides must draw the same n_samples >= 2, got {n}")
         if self.num_trials < 1:
             raise ValueError(f"num_trials must be >= 1, got {self.num_trials}")
 
@@ -137,11 +134,8 @@ def pvalue_stats(p_values) -> PValueStats:
                        ks_vs_uniform=max(d_plus, d_minus, 0.0), d_plus=max(d_plus, 0.0))
 
 
-def _side_samples(spec: SamplerSpec, plan: TrialPlan, side: int,
-                  trials: range) -> np.ndarray:
-    settings = replace(spec.settings, n_samples=plan.n_per_trial)
-    paths = [(trial, side) for trial in trials]
-    return run_chains(spec.kernel, settings, plan.base_seed, paths)
+def _side_samples(spec: SamplerSpec, base_seed: int, side: int, trials: range) -> np.ndarray:
+    return run_chains(spec.kernel, spec.settings, base_seed, [(trial, side) for trial in trials])
 
 
 def _trial_blocks(num_trials: int) -> list[range]:
@@ -154,21 +148,14 @@ def tie_seed_for_trial(base_seed: int, trial: int) -> int:
     return int(seed_sequence(base_seed, trial, _TIE_SIDE).generate_state(1, np.uint64)[0])
 
 
-def _crossmatch_trials(plan: TrialPlan, side0: Callable[[range], np.ndarray]) -> PValueStats:
-    """The block loop shared by run_trials and the sweeps.
+def _block_p_values(plan: TrialPlan, trials: range, xs: np.ndarray) -> list[float]:
+    """The block loop's body, shared by run_trials and the sweeps.
 
-    side0(trials) returns side 0 of a block of trials; side 1 is drawn here,
-    block by block.
+    Draws side 1 of a block of trials and tests it against side 0, xs.
     """
-    p_values = np.empty(plan.num_trials)
-    for trials in _trial_blocks(plan.num_trials):
-        xs = side0(trials)
-        ys = _side_samples(plan.sampler_b, plan, 1, trials)
-        for row, trial in enumerate(trials):
-            outcome = crossmatch_test(xs[row], ys[row],
-                                      tie_seed=tie_seed_for_trial(plan.base_seed, trial))
-            p_values[trial] = outcome.p_value
-    return pvalue_stats(p_values)
+    ys = _side_samples(plan.sampler_b, plan.base_seed, 1, trials)
+    return [crossmatch_test(x, y, tie_seed=tie_seed_for_trial(plan.base_seed, trial)).p_value
+            for trial, x, y in zip(trials, xs, ys)]
 
 
 def run_trials(plan: TrialPlan) -> PValueStats:
@@ -179,7 +166,11 @@ def run_trials(plan: TrialPlan) -> PValueStats:
     stream; the trial blocks only batch chain execution and never change
     any result.
     """
-    return _crossmatch_trials(plan, lambda trials: _side_samples(plan.sampler_a, plan, 0, trials))
+    p_values = []
+    for trials in _trial_blocks(plan.num_trials):
+        xs = _side_samples(plan.sampler_a, plan.base_seed, 0, trials)
+        p_values += _block_p_values(plan, trials, xs)
+    return pvalue_stats(p_values)
 
 
 def energy_estimate(resources: ResourceEstimate, ticks: int, em: EnergyModel) -> float:
@@ -197,45 +188,42 @@ def epeff(mean_p: float, energy: float) -> float:
     return mean_p / energy
 
 
-def gibbs_ticks(settings: ChainSettings, n_per_trial: int, window: int) -> int:
+def gibbs_ticks(settings: ChainSettings, window: int) -> int:
     """Hardware ticks per trial: each Gibbs step updates 2 layers of `window` ticks."""
-    return (settings.burn_in + n_per_trial * settings.thin) * 2 * window
+    return settings.total_steps * 2 * window
 
 
 def _sweep_reports(model: RbmModel, labeled_configs, reference: SamplerSpec,
-                   settings: ChainSettings, n_per_trial: int, num_trials: int,
-                   base_seed: int, em: EnergyModel) -> list[EpeffReport]:
+                   settings: ChainSettings, num_trials: int, base_seed: int,
+                   em: EnergyModel) -> list[EpeffReport]:
     """EPEff reports of each (label, digital config) judged against one reference.
 
     Every config runs under the same base_seed, so side 0 of trial i is the
-    same reference chain for all of them: it is drawn once, in run_trials'
-    blocks, and held for the whole sweep (num_trials x n_per_trial x
-    n_visible bytes).
+    same reference chain for all of them: each block of it is drawn once and
+    tested against every config.
     """
     plans = [TrialPlan(sampler_a=reference,
                        sampler_b=SamplerSpec(DigitalKernel(model, cfg, base_seed), settings),
-                       n_per_trial=n_per_trial, num_trials=num_trials,
-                       base_seed=base_seed)
+                       num_trials=num_trials, base_seed=base_seed)
              for _, cfg in labeled_configs]
-    xs = np.concatenate([_side_samples(reference, plans[0], 0, trials)
-                         for trials in _trial_blocks(num_trials)])
-
-    def drawn(trials: range) -> np.ndarray:
-        return xs[trials.start:trials.stop]
-
+    p_values = [[] for _ in plans]
+    for trials in _trial_blocks(num_trials):
+        xs = _side_samples(reference, base_seed, 0, trials)
+        for plan, ps in zip(plans, p_values):
+            ps += _block_p_values(plan, trials, xs)
     reports = []
-    for (label, cfg), plan in zip(labeled_configs, plans):
-        stats = _crossmatch_trials(plan, drawn)
+    for (label, cfg), ps in zip(labeled_configs, p_values):
+        mean_p = pvalue_stats(ps).mean_p
         resources = resource_estimate(model.n_visible + model.n_hidden,
                                       cfg.leak_density, em.core_size)
-        energy = energy_estimate(resources, gibbs_ticks(settings, n_per_trial, cfg.window), em)
-        reports.append(EpeffReport(label=label, mean_p=stats.mean_p, energy=energy,
-                                   epeff=epeff(stats.mean_p, energy), resources=resources))
+        energy = energy_estimate(resources, gibbs_ticks(settings, cfg.window), em)
+        reports.append(EpeffReport(label=label, mean_p=mean_p, energy=energy,
+                                   epeff=epeff(mean_p, energy), resources=resources))
     return reports
 
 
 def parameter_sweep(model: RbmModel, labeled_configs, settings: ChainSettings,
-                    *, n_per_trial: int = 50, num_trials: int = 200, base_seed: int,
+                    *, num_trials: int = 200, base_seed: int,
                     energy_model: EnergyModel = EnergyModel()) -> list[EpeffReport]:
     """Ideal-vs-digital EPEff reports for each (label, config), best EPEff first.
 
@@ -245,13 +233,12 @@ def parameter_sweep(model: RbmModel, labeled_configs, settings: ChainSettings,
     if not labeled_configs:
         raise ValueError("no sampler configs to sweep")
     reports = _sweep_reports(model, labeled_configs, SamplerSpec(IdealKernel(model), settings),
-                             settings, n_per_trial, num_trials, base_seed, energy_model)
+                             settings, num_trials, base_seed, energy_model)
     return sorted(reports, key=lambda r: r.epeff, reverse=True)
 
 
 def leak_density_sweep(model: RbmModel, cfg: DigitalSamplerConfig, densities,
-                       settings: ChainSettings, *, n_per_trial: int = 50,
-                       num_trials: int = 200, base_seed: int,
+                       settings: ChainSettings, *, num_trials: int = 200, base_seed: int,
                        energy_model: EnergyModel = EnergyModel()) -> list[EpeffReport]:
     """EPEff across leak densities, judged against the density-1 sampler.
 
@@ -264,5 +251,4 @@ def leak_density_sweep(model: RbmModel, cfg: DigitalSamplerConfig, densities,
     reference = SamplerSpec(DigitalKernel(model, replace(cfg, leak_density=1), base_seed),
                             settings)
     return _sweep_reports(model, [(f"ld={d}", replace(cfg, leak_density=d)) for d in densities],
-                          reference, settings, n_per_trial, num_trials, base_seed,
-                          energy_model)
+                          reference, settings, num_trials, base_seed, energy_model)

@@ -99,19 +99,18 @@ class RbmModel:
 
 @dataclass(frozen=True)
 class ChainSettings:
-    """How a Gibbs chain is run: burn-in, thinning, sample count, init rule.
+    """How a Gibbs chain is run: burn-in, thinning and sample count.
 
-    `init` is either "random-uniform" (each visible bit is a fair coin drawn
-    from the chain's init stream) or "given-vector" (start from
-    `init_vector`). Every recorded sample sits `thin` full Gibbs steps after
-    the previous one; the first sits burn_in + thin steps from the start.
+    Every chain starts from the "random-uniform" rule (`init`): each visible
+    bit is a fair coin drawn from the chain's init stream. Every recorded
+    sample sits `thin` full Gibbs steps after the previous one; the first
+    sits burn_in + thin steps from the start.
     """
 
     n_samples: int
     burn_in: int = 1000
     thin: int = 10
-    init: str = "random-uniform"
-    init_vector: np.ndarray | None = None
+    init = "random-uniform"  # the only start rule: a class constant, not a field
 
     def __post_init__(self):
         if self.n_samples < 1:
@@ -120,14 +119,6 @@ class ChainSettings:
             raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
         if self.thin < 1:
             raise ValueError(f"thin must be >= 1, got {self.thin}")
-        if self.init not in ("random-uniform", "given-vector"):
-            raise ValueError(f"unknown init rule {self.init!r}")
-        if self.init == "given-vector":
-            if self.init_vector is None:
-                raise ValueError("init 'given-vector' requires init_vector")
-            vec = as_bits(self.init_vector, "init_vector")
-            vec.setflags(write=False)
-            object.__setattr__(self, "init_vector", vec)
 
     @property
     def total_steps(self) -> int:

@@ -93,8 +93,7 @@ def test_criterion_03_matching_optimality():
 def test_criterion_04_null_calibration():
     t0 = time.monotonic()
     spec = SamplerSpec(IdealKernel(DESK_MODEL), DESK_SETTINGS)
-    plan = TrialPlan(sampler_a=spec, sampler_b=spec, n_per_trial=50,
-                     num_trials=2000, base_seed=42)
+    plan = TrialPlan(sampler_a=spec, sampler_b=spec, num_trials=2000, base_seed=42)
     stats = run_trials(plan)
     dt = time.monotonic() - t0
     ok = 0.45 <= stats.mean_p <= 0.60 and stats.d_plus <= 0.05 and dt < 300.0
@@ -107,7 +106,7 @@ def test_criterion_05_power_on_separated_sources():
     t0 = time.monotonic()
     plan = TrialPlan(sampler_a=SamplerSpec(BernoulliKernel(0.2, 16), BernoulliKernel.schedule(50)),
                      sampler_b=SamplerSpec(BernoulliKernel(0.8, 16), BernoulliKernel.schedule(50)),
-                     n_per_trial=50, num_trials=200, base_seed=43)
+                     num_trials=200, base_seed=43)
     stats = run_trials(plan)
     dt = time.monotonic() - t0
     report(5, stats.mean_p < 0.01 and dt < 60.0,
@@ -154,14 +153,14 @@ def test_criterion_08_sampler_discrimination():
     good = run_trials(TrialPlan(
         sampler_a=ideal,
         sampler_b=SamplerSpec(DigitalKernel(DESK_MODEL, good_cfg, 44), DESK_SETTINGS),
-        n_per_trial=50, num_trials=200, base_seed=44))
+        num_trials=200, base_seed=44))
     # single-tick sampler with no stochastic drive and an unreachable threshold
     degenerate_cfg = DigitalSamplerConfig(window=1, threshold=10_000, threshold_bits=8,
                                           leak=0, scale=50)
     degenerate = run_trials(TrialPlan(
         sampler_a=ideal,
         sampler_b=SamplerSpec(DigitalKernel(DESK_MODEL, degenerate_cfg, 44), DESK_SETTINGS),
-        n_per_trial=50, num_trials=200, base_seed=44))
+        num_trials=200, base_seed=44))
     dt = time.monotonic() - t0
     ok = good.mean_p > 0.2 and degenerate.mean_p < 0.01
     report(8, ok,
@@ -174,7 +173,7 @@ def test_criterion_09_leak_density_trend(tmp_path):
     cfg = dict(PRESET_CONFIGS)["G2"]
     densities = [1, 10, 16]  # dedicated, shared, full-layer
     reports = leak_density_sweep(DESK_MODEL, cfg, densities, DESK_SETTINGS,
-                                 n_per_trial=50, num_trials=200, base_seed=77)
+                                 num_trials=200, base_seed=77)
     mean_ps = [r.mean_p for r in reports]
     energies = [r.energy for r in reports]
     epeffs = [r.epeff for r in reports]

@@ -103,13 +103,6 @@ def test_ideal_kernel_counts():
     assert (k.n_visible, k.n_uniforms_per_step, k.n_normals_per_step) == (7, 10, 0)
 
 
-def test_given_vector_shape_checked():
-    cs = ChainSettings(n_samples=1, init="given-vector",
-                       init_vector=np.array([1, 0, 1], dtype=np.uint8))
-    with pytest.raises(ValueError):
-        run_chains(UniformOnlyKernel(), cs, 1, [()])
-
-
 def test_run_chain_records_kernel_label_and_provenance():
     m = random_model(4, 2, 0.3, seed=1)
     cs = ChainSettings(n_samples=5, burn_in=3, thin=2)

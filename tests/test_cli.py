@@ -330,15 +330,15 @@ def test_missing_required_config_field_exits_2(tmp_path, capsys, command, sectio
 
 
 # Off-default values for every field of the dataclasses that config sections
-# build. ChainSettings.init keeps its default: "given-vector" needs an
-# init_vector, which no config can give.
+# build. The chain section takes ChainSettings less n_samples, which is
+# trials.n_per_trial.
 DIGITAL = {"window": 3, "threshold": -5, "threshold_bits": 7, "leak": 20, "scale": 30.5,
            "leak_density": 2}
 ANALOG = {"capacitance": 2.0, "g_leak": 0.5, "threshold": 0.7, "v_reset": 0.1,
           "noise_sigma": 1.2, "dt": 0.05, "window": 10, "noise_density": 2}
 TRAIN = {"epochs": 3, "learning_rate": 0.05, "batch_size": 16, "init_sigma": 0.02}
 ENERGY = {"e_active": 2.0, "e_core_static": 5.0, "core_size": 128}
-CHAIN = {"burn_in": 7, "thin": 3, "init": "random-uniform"}
+CHAIN = {"burn_in": 7, "thin": 3}
 DIGITAL_REQUIRED = {"window", "threshold", "threshold_bits", "leak", "scale"}
 
 
@@ -421,6 +421,19 @@ def test_config_schema_is_pinned(tmp_path, monkeypatch, where, section, required
     assert exc.value.args[0] == expected
 
 
+def test_chain_init_is_an_unknown_key(tmp_path, capsys, monkeypatch):
+    # every chain starts random-uniform; the key fails before any model is trained
+    def trained(*args, **kwargs):
+        raise AssertionError("a model was trained")
+
+    monkeypatch.setattr(cli, "cd1_train", trained)
+    cfg = write_cfg(tmp_path, chain={"burn_in": 7, "init": "random-uniform"},
+                    model={"kind": "train", "n_hidden": 4})
+    assert main(["null-check", "--seed", "1", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert stderr_events(capsys)[-1] == {"error": "ConfigError",
+                                         "message": "unknown key(s) ['init'] in chain"}
+
+
 def test_numbers_accepted_where_reals_are_expected():
     validate_run_config({"energy": {"e_active": 2, "e_core_static": 0.5},
                          "sampler_a": {"kind": "bernoulli", "rate": 1, "n_bits": 3},
@@ -494,3 +507,15 @@ def test_memory_error_exits_2(tmp_path, capsys, monkeypatch):
     assert main(["test", good, good, "--seed", "0"]) == 2
     assert stderr_events(capsys)[-1] == {"error": "MemoryError",
                                          "message": "distance matrix too large"}
+
+
+def test_solver_error_exits_2(tmp_path, capsys, monkeypatch):
+    good = dump_with(tmp_path, "GMSAMP1 2 4")
+
+    def failed(*args, **kwargs):
+        raise RuntimeError("matching LP failed: Unknown")
+
+    monkeypatch.setattr(crossmatch, "optimal_matching", failed)
+    assert main(["test", good, good, "--seed", "0"]) == 2
+    assert stderr_events(capsys)[-1] == {"error": "RuntimeError",
+                                         "message": "matching LP failed: Unknown"}

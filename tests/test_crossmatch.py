@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from gibbsmatch import crossmatch
+from gibbsmatch import cli, crossmatch, harness
 from gibbsmatch.crossmatch import (CrossmatchOutcome, DistanceMatrix, Matching,
                                    cross_count, crossmatch_test, greedy_matching,
                                    null_pmf, optimal_matching, p_value, pairwise_distances)
@@ -107,8 +107,6 @@ def test_non_bit_values_are_rejected_before_the_cast(value):
         pairwise_distances(np.zeros((2, 2)), rows)
     with pytest.raises(ValueError, match="0 or 1"):
         SampleBatch(samples=rows, sampler_id="x", seed=0, settings=ChainSettings(n_samples=2))
-    with pytest.raises(ValueError, match="0 or 1"):
-        ChainSettings(n_samples=1, init="given-vector", init_vector=rows[0])
 
 
 def test_pairwise_distances_accepts_sample_batches():
@@ -363,6 +361,29 @@ def test_priced_pairs_carry_their_cut_entries(monkeypatch):
             D = pairwise_distances(X, Y)
             assert optimal_matching(D, tie_seed=seed).pairs == milp_pairs(D, tie_seed=seed)
     assert resolved_after_late_pairs > 0
+
+
+def test_warm_solve_short_of_optimal_is_run_again_from_scratch(tmp_path, monkeypatch, capsys):
+    # On trial 0 of this null-check the warm-started LP stops with status
+    # "Unknown"; the from-scratch rerun must then reach the oracle's optimum.
+    tested, cleared = [], []
+    real_test, real_clear = harness.crossmatch_test, crossmatch._highs._Highs.clearSolver
+
+    def keep(x, y, **kwargs):
+        tested.append((x, y, kwargs["tie_seed"], real_test(x, y, **kwargs)))
+        return tested[-1][-1]
+
+    def spy_clear(highs):
+        cleared.append(len(tested))
+        return real_clear(highs)
+
+    monkeypatch.setattr(harness, "crossmatch_test", keep)
+    monkeypatch.setattr(crossmatch._highs._Highs, "clearSolver", spy_clear)
+    argv = ["null-check", "--seed", "2468552003", "--trials", "4", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert len(tested) == 4 and cleared == [0]
+    x, y, tie_seed, outcome = tested[0]
+    assert outcome.matching.pairs == milp_pairs(pairwise_distances(x, y), tie_seed=tie_seed)
 
 
 def test_matching_lp_on_the_private_highs_api():

@@ -113,17 +113,13 @@ def test_samples_round_trip(tmp_path):
     assert p.read_bytes() == q.read_bytes()
 
 
-def test_samples_keep_init_vector(tmp_path):
-    vec = np.array([1, 0, 1, 1], dtype=np.uint8)
-    cs = ChainSettings(n_samples=2, burn_in=0, thin=1, init="given-vector",
-                       init_vector=vec)
-    batch = SampleBatch(samples=np.zeros((2, 4), dtype=np.uint8), sampler_id="x",
-                        seed=0, settings=cs)
+@pytest.mark.parametrize("init", ["given-vector", "warm"])
+def test_samples_with_another_init_rule_are_rejected(tmp_path, init):
     p = tmp_path / "s.dump"
-    save_samples(batch, p)
-    back = load_samples(p)
-    assert back.settings.init == "given-vector"
-    np.testing.assert_array_equal(back.settings.init_vector, vec)
+    p.write_text('GMSAMP1 1 4\n{"sampler_id":"x","seed":0,"settings":{"n_samples":1,'
+                 f'"burn_in":0,"thin":1,"init":"{init}"}}}}\n0101\n')
+    with pytest.raises(ModelFormatError, match=f"unknown init rule '{init}'"):
+        load_samples(p)
 
 
 def test_samples_bad_rows(tmp_path):

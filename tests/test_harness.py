@@ -1,5 +1,7 @@
 """Trial orchestration, p-value aggregation, and the energy/EPEff model."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
@@ -22,8 +24,7 @@ QUICK = ChainSettings(n_samples=8, burn_in=40, thin=2)
 def quick_plan(num_trials=4, **kw):
     model = random_model(6, 3, 0.4, seed=300)
     spec = SamplerSpec(IdealKernel(model), QUICK)
-    defaults = dict(sampler_a=spec, sampler_b=spec, n_per_trial=8,
-                    num_trials=num_trials, base_seed=1234)
+    defaults = dict(sampler_a=spec, sampler_b=spec, num_trials=num_trials, base_seed=1234)
     defaults.update(kw)
     return TrialPlan(**defaults)
 
@@ -84,11 +85,9 @@ def test_single_trial_equals_direct_crossmatch():
     stats = run_trials(plan)
 
     from gibbsmatch.chains import IdealKernel, run_chains
-    from dataclasses import replace
-    settings = replace(QUICK, n_samples=plan.n_per_trial)
     kernel = IdealKernel(model)
-    xs = run_chains(kernel, settings, plan.base_seed, [(0, 0)])[0]
-    ys = run_chains(kernel, settings, plan.base_seed, [(0, 1)])[0]
+    xs = run_chains(kernel, QUICK, plan.base_seed, [(0, 0)])[0]
+    ys = run_chains(kernel, QUICK, plan.base_seed, [(0, 1)])[0]
     outcome = crossmatch_test(xs, ys, tie_seed=tie_seed_for_trial(plan.base_seed, 0))
     assert stats.p_values[0] == outcome.p_value
 
@@ -114,12 +113,12 @@ def test_sides_draw_distinct_streams():
     assert (stats.p_values > 0).all()
     model = random_model(6, 3, 0.4, seed=300)
     a = SamplerSpec(IdealKernel(model), QUICK)
-    assert a.label() == "ideal"
+    assert a.kernel.label == "ideal"
 
 
-def bernoulli_spec(rate, n_bits):
+def bernoulli_spec(rate, n_bits, n_samples):
     kernel = BernoulliKernel(rate, n_bits)
-    return SamplerSpec(kernel, kernel.schedule(1))
+    return SamplerSpec(kernel, kernel.schedule(n_samples))
 
 
 def test_bernoulli_source_stream_and_rate(monkeypatch):
@@ -131,8 +130,8 @@ def test_bernoulli_source_stream_and_rate(monkeypatch):
         return crossmatch_test(x, y, **kwargs)
 
     monkeypatch.setattr(harness, "crossmatch_test", keep)
-    spec = bernoulli_spec(0.2, 16)
-    plan = quick_plan(sampler_a=spec, sampler_b=spec, n_per_trial=30, num_trials=2)
+    spec = bernoulli_spec(0.2, 16, 30)
+    plan = quick_plan(sampler_a=spec, sampler_b=spec, num_trials=2)
     run_trials(plan)  # must not touch any model
     assert len(drawn) == 2
     for trial, sides in enumerate(drawn):
@@ -143,17 +142,22 @@ def test_bernoulli_source_stream_and_rate(monkeypatch):
 
 
 def test_mismatched_widths_fail():
-    plan = quick_plan(sampler_a=bernoulli_spec(0.5, 4),
-                      sampler_b=bernoulli_spec(0.5, 5), n_per_trial=4)
+    plan = quick_plan(sampler_a=bernoulli_spec(0.5, 4, 4), sampler_b=bernoulli_spec(0.5, 5, 4))
     with pytest.raises(ValueError):
         run_trials(plan)
 
 
 def test_trial_plan_validation():
     with pytest.raises(ValueError):
-        quick_plan(n_per_trial=1)
+        quick_plan(sampler_a=bernoulli_spec(0.5, 6, 1), sampler_b=bernoulli_spec(0.5, 6, 1))
     with pytest.raises(ValueError):
         quick_plan(num_trials=0)
+
+
+def test_trial_plan_sides_draw_the_same_number_of_samples():
+    model = random_model(6, 3, 0.4, seed=300)
+    with pytest.raises(ValueError, match="same n_samples"):
+        quick_plan(sampler_b=SamplerSpec(IdealKernel(model), replace(QUICK, n_samples=9)))
 
 
 # --- energy and efficiency ---------------------------------------------------------------
@@ -203,9 +207,9 @@ def test_epeff_report_consistency_enforced():
 
 
 def test_gibbs_ticks_formula():
-    cs = ChainSettings(n_samples=1, burn_in=100, thin=10)
-    assert gibbs_ticks(cs, 50, 8) == (100 + 500) * 2 * 8
-    assert gibbs_ticks(cs, 50, 1) == 1200
+    cs = ChainSettings(n_samples=50, burn_in=100, thin=10)
+    assert gibbs_ticks(cs, 8) == (100 + 500) * 2 * 8
+    assert gibbs_ticks(cs, 1) == 1200
 
 
 # --- sweeps -----------------------------------------------------------------------------
@@ -219,8 +223,7 @@ def sweep_cfg(**kw):
 def test_parameter_sweep_ordering_and_repeatability():
     model = random_model(6, 3, 0.4, seed=301)
     configs = [("a", sweep_cfg()), ("b", sweep_cfg(threshold=-60)), ("a2", sweep_cfg())]
-    reports = parameter_sweep(model, configs, QUICK, n_per_trial=8, num_trials=4,
-                              base_seed=55)
+    reports = parameter_sweep(model, configs, QUICK, num_trials=4, base_seed=55)
     assert [r.epeff for r in reports] == sorted((r.epeff for r in reports), reverse=True)
     by_label = {r.label: r for r in reports}
     # identical configs under one base seed give identical numbers
@@ -239,7 +242,7 @@ def test_parameter_sweep_rejects_empty():
 def test_leak_density_sweep_energy_and_order():
     model = random_model(8, 4, 0.4, seed=302)
     reports = leak_density_sweep(model, sweep_cfg(), [1, 4, 12], QUICK,
-                                 n_per_trial=8, num_trials=4, base_seed=66)
+                                 num_trials=4, base_seed=66)
     assert [r.label for r in reports] == ["ld=1", "ld=4", "ld=12"]
     energies = [r.energy for r in reports]
     assert energies[0] > energies[1] > energies[2]
@@ -254,18 +257,18 @@ def test_leak_density_sweep_rejects_empty():
         leak_density_sweep(model, sweep_cfg(), [], QUICK, base_seed=1)
 
 
-def per_config_reports(model, reference, labeled_configs, settings, n_per_trial,
+def per_config_reports(model, reference, labeled_configs, settings,
                        num_trials, base_seed, em=EnergyModel()):
     """Reports built by one run_trials per config, each drawing its own side 0."""
     reports = []
     for label, cfg in labeled_configs:
         plan = TrialPlan(sampler_a=reference,
                          sampler_b=SamplerSpec(DigitalKernel(model, cfg, base_seed), settings),
-                         n_per_trial=n_per_trial, num_trials=num_trials, base_seed=base_seed)
+                         num_trials=num_trials, base_seed=base_seed)
         mean_p = run_trials(plan).mean_p
         resources = resource_estimate(model.n_visible + model.n_hidden, cfg.leak_density,
                                       em.core_size)
-        energy = energy_estimate(resources, gibbs_ticks(settings, n_per_trial, cfg.window), em)
+        energy = energy_estimate(resources, gibbs_ticks(settings, cfg.window), em)
         reports.append(EpeffReport(label=label, mean_p=mean_p, energy=energy,
                                    epeff=epeff(mean_p, energy), resources=resources))
     return reports
@@ -287,25 +290,25 @@ def spy_chain_paths(monkeypatch) -> list:
 @pytest.mark.parametrize("sweep", ["parameter", "leak_density"])
 def test_sweep_samples_reference_side_once(monkeypatch, sweep):
     model = random_model(6, 3, 0.4, seed=303)
-    num_trials, n_per_trial, base_seed = 66, 6, 77  # two trial blocks, the second short
+    num_trials, base_seed = 66, 77  # two trial blocks, the second short
+    settings = replace(QUICK, n_samples=6)
     if sweep == "parameter":
         configs = [("a", sweep_cfg()), ("b", sweep_cfg(threshold=-60)),
                    ("c", sweep_cfg(window=2, threshold=0, leak=40))]
-        reference = SamplerSpec(IdealKernel(model), QUICK)
-        expected = sorted(per_config_reports(model, reference, configs, QUICK, n_per_trial,
+        reference = SamplerSpec(IdealKernel(model), settings)
+        expected = sorted(per_config_reports(model, reference, configs, settings,
                                              num_trials, base_seed),
                           key=lambda r: r.epeff, reverse=True)
-        run = lambda: parameter_sweep(model, configs, QUICK, n_per_trial=n_per_trial,
+        run = lambda: parameter_sweep(model, configs, settings,
                                       num_trials=num_trials, base_seed=base_seed)
     else:
         densities = [1, 2, 5]
         configs = [(f"ld={d}", sweep_cfg(leak_density=d)) for d in densities]
-        reference = SamplerSpec(DigitalKernel(model, sweep_cfg(), base_seed), QUICK)
-        expected = per_config_reports(model, reference, configs, QUICK, n_per_trial,
+        reference = SamplerSpec(DigitalKernel(model, sweep_cfg(), base_seed), settings)
+        expected = per_config_reports(model, reference, configs, settings,
                                       num_trials, base_seed)
-        run = lambda: leak_density_sweep(model, sweep_cfg(), densities, QUICK,
-                                         n_per_trial=n_per_trial, num_trials=num_trials,
-                                         base_seed=base_seed)
+        run = lambda: leak_density_sweep(model, sweep_cfg(), densities, settings,
+                                         num_trials=num_trials, base_seed=base_seed)
     paths = spy_chain_paths(monkeypatch)
     assert run() == expected
     assert [p for p in paths if p[1] == 0] == [(t, 0) for t in range(num_trials)]

@@ -209,24 +209,11 @@ def test_fair_coin_model_is_uniform():
     assert tv < 0.06
 
 
-def test_given_vector_init():
-    m = tiny_model()
-    vec = np.array([1, 0, 1], dtype=np.uint8)
-    cs = ChainSettings(n_samples=2, burn_in=0, thin=1, init="given-vector", init_vector=vec)
-    batch = run_chain(IdealKernel(m), cs, seed=4)
-    v, _ = gibbs_step(m, vec, derive_rng(4, 1))
-    np.testing.assert_array_equal(batch.samples[0], v)
-
-
 def test_chain_settings_validation():
     with pytest.raises(ValueError):
         ChainSettings(n_samples=0)
     with pytest.raises(ValueError):
         ChainSettings(n_samples=1, thin=0)
-    with pytest.raises(ValueError):
-        ChainSettings(n_samples=1, init="warm")
-    with pytest.raises(ValueError):
-        ChainSettings(n_samples=1, init="given-vector")
     assert ChainSettings(n_samples=5, burn_in=7, thin=3).total_steps == 22
 
 
@@ -264,13 +251,6 @@ def test_run_chains_empty_paths():
     m = tiny_model()
     out = run_chains(IdealKernel(m), ChainSettings(n_samples=3), 1, [])
     assert out.shape == (0, 3, 3)
-
-
-def test_run_chains_rejects_bad_init_vector():
-    m = tiny_model()
-    cs = ChainSettings(n_samples=1, init="given-vector", init_vector=np.array([1, 0]))
-    with pytest.raises(ValueError):
-        run_chains(IdealKernel(m), cs, 1, [()])
 
 
 # --- training --------------------------------------------------------------------
