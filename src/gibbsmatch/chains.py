@@ -2,10 +2,15 @@
 
 Every sample source (ideal, digital, analog, bernoulli) is a kernel run by
 one engine. Each chain owns three derived Philox streams -- init, uniform
-draws, Gaussian draws -- so a batch of chains produces bit-identical output
-to running the same chains one at a time, in any order. Kernels declare how many uniforms/normals one full
-Gibbs step consumes per chain; the engine pre-draws them in chunks (chunking
-does not move any stream, numpy generators fill arrays sequentially).
+draws, Gaussian draws -- so its draws are the same in any batch, at any
+place in it. Its sample bits almost always are too. A kernel's matrix
+product can round a row's last bit differently at another batch width (the
+BLAS picks its kernel by shape: with OpenBLAS a 784x500 product does so at
+most widths, a 16x8 one only between width 1 and the rest), and a bit then
+flips only if its draw lands within that rounding of its threshold. Kernels
+declare how many uniforms/normals one full Gibbs step consumes per chain;
+the engine pre-draws them in chunks (chunking does not move any stream,
+numpy generators fill arrays sequentially).
 """
 
 from __future__ import annotations

@@ -16,11 +16,15 @@ recomputed from the unjittered integer distances.
 The exact matcher solves Edmonds' matching linear program by cutting planes
 and pricing (Grötschel & Holland 1985; Applegate & Cook 1993): the LP on a
 sparse candidate set of pairs, odd-set cuts for fractional solutions, every
-pair priced in by its reduced cost, and an integer program on the
-candidates when the cuts run out, made exact by reduced-cost fixing (see
-optimal_matching). The LP is one HiGHS model per matching, held through
-scipy's private binding scipy.optimize._highspy._core: priced pairs enter as
-columns and cuts as rows, and the dual simplex restarts from the last basis.
+pair priced in by its reduced cost, and an integer program when the cuts
+run out, made exact by reduced-cost fixing (see optimal_matching). The
+integer program sees only the candidates whose reduced cost is at most a
+threshold tau, which starts at _PRUNE and widens whenever the bound it
+returns could admit a pair it did not see. Both go through scipy's private
+HiGHS binding scipy.optimize._highspy._core: the LP is one model per
+matching, to which priced pairs are added as columns and cuts as rows, so
+the dual simplex restarts from the last basis; each integer program is a
+fresh model.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.optimize._highspy import _core as _highs
 from scipy.sparse.csgraph import connected_components
 from scipy.special import gammaln
@@ -65,6 +68,12 @@ _FRACTIONAL = 1e-6     # LP values further than this from 0 and 1 are fractional
 _LP_OPTIONS = (("output_flag", False), ("threads", 0), ("presolve", "off"),
                ("solver", "simplex"), ("simplex_strategy", 1),
                ("primal_feasibility_tolerance", 1e-10), ("dual_feasibility_tolerance", 1e-10))
+# The integer program: a fresh model per solve, with no relative gap (as
+# scipy's milp with mip_rel_gap 0) and without the feasibility-jump heuristic,
+# which doubles its time on pooled-100, 16-bit instances.
+_IP_OPTIONS = (("output_flag", False), ("threads", 0), ("mip_rel_gap", 0.0),
+               ("mip_heuristic_run_feasibility_jump", False))
+_PRUNE = 1.0           # the integer program first sees the candidates with rc <= this
 
 
 def _bit_rows(x) -> np.ndarray:
@@ -192,21 +201,30 @@ def _greedy_pairs(w: np.ndarray, iu) -> list:
     return pairs
 
 
-def _incidence(size: int, eu: np.ndarray, ev: np.ndarray):
-    """Vertex-by-pair incidence matrix of the candidate pairs."""
-    cols = np.arange(eu.size)
-    return sparse.csc_matrix((np.ones(2 * eu.size), (np.concatenate([eu, ev]), np.tile(cols, 2))),
-                             shape=(size, eu.size))
+def _crossing(members: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
+    """Cut-by-pair mask: True where the pair has exactly one end in the odd set."""
+    return members[:, eu] != members[:, ev]
 
 
-def _crossing(members: np.ndarray, eu: np.ndarray, ev: np.ndarray):
-    """Cut-by-pair matrix: 1 where the pair has exactly one end in the odd set."""
-    return sparse.csr_matrix(members[:, eu] != members[:, ev], dtype=np.float64)
+def _offsets(index: np.ndarray, n: int) -> np.ndarray:
+    """Compressed-sparse offsets (length n + 1) of entries sorted by this
+    row (or column) index."""
+    return np.concatenate([[0], np.cumsum(np.bincount(index, minlength=n))])
 
 
 def _check(status, call: str):
     if status != _highs.HighsStatus.kOk:
-        raise RuntimeError(f"matching LP: HiGHS {call} returned {status}")
+        raise RuntimeError(f"matching solver: HiGHS {call} returned {status}")
+
+
+def _degree_model(size: int, options) -> _highs._Highs:
+    """A HiGHS model with the given options and the rows x(delta(v)) = 1."""
+    highs = _highs._Highs()
+    for name, value in options:
+        _check(highs.setOptionValue(name, value), f"option {name}")
+    _check(highs.addRows(size, np.ones(size), np.ones(size), 0, np.zeros(size, dtype=np.int32),
+                         np.zeros(0, dtype=np.int32), np.zeros(0)), "addRows")
+    return highs
 
 
 class _MatchingLP:
@@ -222,33 +240,31 @@ class _MatchingLP:
         self.size = size
         self.eu = self.ev = np.zeros(0, dtype=np.intp)
         self.members = np.zeros((0, size), dtype=bool)
-        self.highs = _highs._Highs()
-        for name, value in _LP_OPTIONS:
-            _check(self.highs.setOptionValue(name, value), f"option {name}")
-        _check(self.highs.addRows(size, np.ones(size), np.ones(size), 0,
-                                  np.zeros(size, dtype=np.int32), np.zeros(0, dtype=np.int32),
-                                  np.zeros(0)), "addRows")
+        self.highs = _degree_model(size, _LP_OPTIONS)
         self.add_pairs(eu, ev, cost)
 
     def add_pairs(self, eu, ev, cost):
         """Append one column per pair, with a 1 in its two degree rows and in
         every existing cut row that it crosses."""
-        a = sparse.vstack([_incidence(self.size, eu, ev), _crossing(self.members, eu, ev)],
-                          format="csc")
+        cut, col = np.nonzero(_crossing(self.members, eu, ev))
+        cols = np.concatenate([np.arange(eu.size), np.arange(eu.size), col])
+        rows = np.concatenate([eu, ev, self.size + cut])
+        order = np.lexsort((rows, cols))  # column-wise, rows ascending in each column
         _check(self.highs.addCols(eu.size, cost, np.zeros(eu.size), np.full(eu.size, np.inf),
-                                  a.nnz, a.indptr[:-1].astype(np.int32),
-                                  a.indices.astype(np.int32), a.data), "addCols")
+                                  rows.size, _offsets(cols, eu.size)[:-1].astype(np.int32),
+                                  rows[order].astype(np.int32), np.ones(rows.size)), "addCols")
         self.eu = np.concatenate([self.eu, eu])
         self.ev = np.concatenate([self.ev, ev])
 
     def add_cuts(self, members: list):
         """Append one row x(delta(S)) >= 1 per membership row S."""
         members = np.array(members)
-        a = _crossing(members, self.eu, self.ev)
+        row, col = np.nonzero(_crossing(members, self.eu, self.ev))  # row-major order
         _check(self.highs.addRows(len(members), np.ones(len(members)),
-                                  np.full(len(members), np.inf), a.nnz,
-                                  a.indptr[:-1].astype(np.int32), a.indices.astype(np.int32),
-                                  a.data), "addRows")
+                                  np.full(len(members), np.inf), col.size,
+                                  _offsets(row, len(members))[:-1].astype(np.int32),
+                                  col.astype(np.int32),
+                                  np.ones(col.size)), "addRows")
         self.members = np.vstack([self.members, members])
 
     def solve(self):
@@ -283,18 +299,33 @@ def _reduced_costs(w: np.ndarray, y, z, members: np.ndarray) -> np.ndarray:
 def _odd_components(size: int, eu, ev, x) -> list:
     """Membership rows of the odd connected components of the LP support."""
     support = x > _FRACTIONAL
-    graph = sparse.coo_matrix((x[support], (eu[support], ev[support])), shape=(size, size))
+    u, v = eu[support], ev[support]
+    graph = sparse.csr_matrix((np.ones(u.size), v[np.argsort(u)], _offsets(u, size)),
+                              shape=(size, size))
     _, labels = connected_components(graph, directed=False)
     return [labels == c for c in np.flatnonzero(np.bincount(labels) % 2)]
 
 
-def _milp_matching(size: int, eu, ev, cost):
-    """Minimum-weight perfect matching on the candidate pairs, as an integer program."""
-    res = milp(c=cost, constraints=LinearConstraint(_incidence(size, eu, ev), 1, 1),
-               integrality=np.ones(eu.size), bounds=Bounds(0, 1), options={"mip_rel_gap": 0.0})
-    if res.status != 0 or res.x is None:
-        raise RuntimeError(f"matching solver failed: {res.message}")
-    return res.x > 0.5, res.fun
+def _integer_matching(size: int, eu, ev, cost):
+    """Minimum-weight perfect matching on the given pairs, as a HiGHS integer
+    program: a mask over the pairs and its weight, or (None, inf) if the
+    pairs hold no perfect matching."""
+    highs = _degree_model(size, _IP_OPTIONS)
+    _check(highs.addCols(eu.size, cost, np.zeros(eu.size), np.ones(eu.size), 2 * eu.size,
+                         np.arange(0, 2 * eu.size, 2, dtype=np.int32),
+                         np.stack([eu, ev], axis=1).ravel().astype(np.int32),
+                         np.ones(2 * eu.size)), "addCols")
+    _check(highs.changeColsIntegrality(eu.size, np.arange(eu.size, dtype=np.int32),
+                                       np.full(eu.size, _highs.HighsVarType.kInteger.value,
+                                               dtype=np.uint8)), "changeColsIntegrality")
+    run = highs.run()
+    status = highs.getModelStatus()
+    if status == _highs.HighsModelStatus.kInfeasible:
+        return None, np.inf
+    if status != _highs.HighsModelStatus.kOptimal:
+        raise RuntimeError(f"matching integer program failed: "
+                           f"{highs.modelStatusToString(status)} (run returned {run})")
+    return np.array(highs.getSolution().col_value) > 0.5, highs.getInfo().objective_function_value
 
 
 def optimal_matching(D: DistanceMatrix, tie_seed: int = 0) -> Matching:
@@ -313,16 +344,25 @@ def optimal_matching(D: DistanceMatrix, tie_seed: int = 0) -> Matching:
     then optimal, and a fractional one gets a cut row x(delta(S)) >= 1 for
     each odd component S of its support.
 
-    When no odd component is left, or after _CUT_ROUNDS cut rounds, an
-    integer program on the candidates gives their best matching, of weight
-    U. The duals are feasible for every pair (rc >= 0) and the cut duals
-    are nonnegative, so by weak duality every perfect matching M weighs at
-    least L + (sum of rc over M), L being the LP value. A matching that
-    uses a pair with rc > U - L therefore weighs more than U. The pairs
-    with rc <= U - L join the candidates and the integer program runs again
-    until no pair enters; its matching is then optimal over all pairs. The
-    returned Matching counts the LP rounds, cuts, priced pairs and integer
-    programs.
+    When no odd component is left, or after _CUT_ROUNDS cut rounds, the
+    finish begins. The duals are feasible for every pair (rc >= 0) and the
+    cut duals are nonnegative, so by weak duality every perfect matching M
+    weighs at least L + (sum of rc over M), L being the LP value. A matching
+    that uses a pair with rc > U - L therefore weighs more than U. So an
+    integer program on the candidates with rc <= tau, tau = _PRUNE at first,
+    gives their best matching, of weight U, and:
+
+    - if those candidates hold no perfect matching, tau becomes infinite
+      (all candidates, which the seed pairs make matchable) and it runs again;
+    - if U - L > tau, a candidate it did not see could beat U, so tau
+      becomes U - L and it runs again (U can only fall, so once is enough);
+    - otherwise its matching is the best over all candidates. The pairs
+      with rc <= U - L that are not candidates yet join them, and the
+      integer program runs again until none do; its matching is then
+      optimal over all pairs.
+
+    The returned Matching counts the LP rounds, cuts, priced pairs and
+    integer programs.
     """
     size = D.size
     if size % 2:
@@ -366,12 +406,23 @@ def optimal_matching(D: DistanceMatrix, tie_seed: int = 0) -> Matching:
         lp.add_cuts(odd)
         counts["cuts"] += len(odd)
         cut_rounds += 1
+    tau = _PRUNE
     while True:
-        chosen, upper = _milp_matching(size, lp.eu, lp.ev, w[lp.eu, lp.ev])
+        pruned = np.flatnonzero(rc[lp.eu, lp.ev] <= tau)
+        chosen, upper = _integer_matching(size, lp.eu[pruned], lp.ev[pruned],
+                                          w[lp.eu[pruned], lp.ev[pruned]])
         counts["milp_solves"] += 1
+        if chosen is None:
+            if tau == np.inf:  # cannot happen: the seed pairs are candidates
+                raise RuntimeError("matching integer program found no perfect matching")
+            tau = np.inf
+            continue
         # the slack covers the rounding of U and L, which are sums of many weights
-        if not enter(rc <= upper - lower + _TOL * max(1.0, abs(upper))):
-            return result(chosen)
+        bound = upper - lower + _TOL * max(1.0, abs(upper))
+        if bound > tau:
+            tau = bound
+        elif not enter(rc <= bound):
+            return result(pruned[chosen])
 
 
 def greedy_matching(D: DistanceMatrix, tie_seed: int = 0) -> Matching:

@@ -4,10 +4,12 @@ A trial plan names two sample sources (side 0 and side 1), each a kernel
 and the ChainSettings whose n_samples is the trial size. Each trial i derives
 fresh per-side chain streams from (base_seed, trial, side) and a matching
 tie-break seed from (base_seed, trial, 2), and runs the Crossmatch test.
-Trials are independent by construction: results are identical whatever the
-batching, and adding trials never perturbs earlier ones. A sweep runs every
-config under one base_seed, so it draws each block of the shared reference
-side once and tests it against every config.
+Trials are independent by construction: each draws the same streams
+whatever the batching, and adding trials never perturbs earlier ones.
+Trials run in blocks of _BLOCK_SIZE; when both sides share one sampler, as
+in null-check, a block's two sides run as one chain batch. A sweep runs
+every config under one base_seed, so it draws each block of the shared
+reference side once and tests it against every config.
 
 Energy is a two-coefficient linear model (active neuron-ticks plus static
 core-ticks) in arbitrary units; the paper-style efficiency figure EPEff is
@@ -138,6 +140,18 @@ def _side_samples(spec: SamplerSpec, base_seed: int, side: int, trials: range) -
     return run_chains(spec.kernel, spec.settings, base_seed, [(trial, side) for trial in trials])
 
 
+def _both_sides(plan: TrialPlan, trials: range) -> tuple[np.ndarray, np.ndarray]:
+    """Side 0 and side 1 of a block of trials; one chain batch when both sides
+    share a sampler."""
+    if plan.sampler_a != plan.sampler_b:
+        return (_side_samples(plan.sampler_a, plan.base_seed, 0, trials),
+                _side_samples(plan.sampler_b, plan.base_seed, 1, trials))
+    spec = plan.sampler_a
+    both = run_chains(spec.kernel, spec.settings, plan.base_seed,
+                      [(trial, 0) for trial in trials] + [(trial, 1) for trial in trials])
+    return both[:len(trials)], both[len(trials):]
+
+
 def _trial_blocks(num_trials: int) -> list[range]:
     return [range(start, min(start + _BLOCK_SIZE, num_trials))
             for start in range(0, num_trials, _BLOCK_SIZE)]
@@ -148,12 +162,10 @@ def tie_seed_for_trial(base_seed: int, trial: int) -> int:
     return int(seed_sequence(base_seed, trial, _TIE_SIDE).generate_state(1, np.uint64)[0])
 
 
-def _block_p_values(plan: TrialPlan, trials: range, xs: np.ndarray) -> list[float]:
-    """The block loop's body, shared by run_trials and the sweeps.
-
-    Draws side 1 of a block of trials and tests it against side 0, xs.
-    """
-    ys = _side_samples(plan.sampler_b, plan.base_seed, 1, trials)
+def _block_p_values(plan: TrialPlan, trials: range, xs: np.ndarray,
+                    ys: np.ndarray) -> list[float]:
+    """The block loop's body, shared by run_trials and the sweeps: the
+    p-values of a block of trials from its side 0, xs, and side 1, ys."""
     return [crossmatch_test(x, y, tie_seed=tie_seed_for_trial(plan.base_seed, trial)).p_value
             for trial, x, y in zip(trials, xs, ys)]
 
@@ -163,13 +175,12 @@ def run_trials(plan: TrialPlan) -> PValueStats:
 
     Trial i draws side samples from streams seeded at (base_seed, i, side)
     for side in {0, 1} and breaks matching ties with tie_seed_for_trial's
-    stream; the trial blocks only batch chain execution and never change
-    any result.
+    stream. The trial blocks only batch chain execution: the streams do not
+    depend on the batching (see chains).
     """
     p_values = []
     for trials in _trial_blocks(plan.num_trials):
-        xs = _side_samples(plan.sampler_a, plan.base_seed, 0, trials)
-        p_values += _block_p_values(plan, trials, xs)
+        p_values += _block_p_values(plan, trials, *_both_sides(plan, trials))
     return pvalue_stats(p_values)
 
 
@@ -210,7 +221,8 @@ def _sweep_reports(model: RbmModel, labeled_configs, reference: SamplerSpec,
     for trials in _trial_blocks(num_trials):
         xs = _side_samples(reference, base_seed, 0, trials)
         for plan, ps in zip(plans, p_values):
-            ps += _block_p_values(plan, trials, xs)
+            ps += _block_p_values(plan, trials, xs,
+                                  _side_samples(plan.sampler_b, base_seed, 1, trials))
     reports = []
     for (label, cfg), ps in zip(labeled_configs, p_values):
         mean_p = pvalue_stats(ps).mean_p

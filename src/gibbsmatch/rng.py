@@ -3,7 +3,8 @@
 Every chain, trial and tie-break draw in this package pulls from its own
 Philox stream, derived from a user seed plus an integer path. Streams are
 independent of execution order and batch size, so parallel and sequential
-runs of the same plan are bit-identical.
+runs of the same plan draw the same numbers (chains says what batching can
+still change in the samples).
 """
 
 from __future__ import annotations

@@ -8,7 +8,6 @@ entry point.
 import json
 import xml.etree.ElementTree as ET
 
-import numpy as np
 import pytest
 
 from gibbsmatch import cli, crossmatch

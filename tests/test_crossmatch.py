@@ -9,7 +9,6 @@ matcher against a from-scratch replay of its documented tie-break contract.
 """
 
 import itertools
-import math
 import os
 import subprocess
 import sys
@@ -363,6 +362,50 @@ def test_priced_pairs_carry_their_cut_entries(monkeypatch):
     assert resolved_after_late_pairs > 0
 
 
+def test_integer_program_on_pruned_candidates(monkeypatch):
+    # The integer program sees the candidates with reduced cost <= tau. At
+    # tau = 0 those are about the LP's tight pairs, which on these instances
+    # never hold a perfect matching, so tau goes to infinity. At the default
+    # tau the program mostly runs on a strict subset of the candidates; on
+    # seed 123 (0.2/0.8) that subset holds no perfect matching, and on seed
+    # 138 the first U - L exceeds tau, which widens it. Each path must end on
+    # the oracle's pairs.
+    add_pairs, integer_matching = crossmatch._MatchingLP.add_pairs, crossmatch._integer_matching
+    candidates, runs = 0, []
+
+    def spy_add_pairs(lp, *args):
+        nonlocal candidates
+        add_pairs(lp, *args)
+        candidates = lp.eu.size
+
+    def spy_integer_matching(size, eu, ev, cost):
+        chosen, upper = integer_matching(size, eu, ev, cost)
+        runs[-1].append((eu.size, candidates, chosen is not None))
+        return chosen, upper
+
+    monkeypatch.setattr(crossmatch._MatchingLP, "add_pairs", spy_add_pairs)
+    monkeypatch.setattr(crossmatch, "_integer_matching", spy_integer_matching)
+    instances = [(pairwise_distances((derive_rng(seed, 0).random((50, 16)) < p_x),
+                                     (derive_rng(seed, 1).random((50, 16)) < p_y)), seed)
+                 for p_x, p_y, seeds in ((0.5, 0.5, (101, 106)), (0.2, 0.8, (115, 123, 138)))
+                 for seed in seeds]
+    oracle = [milp_pairs(D, tie_seed=seed) for D, seed in instances]
+    for prune in (0.0, crossmatch._PRUNE):
+        monkeypatch.setattr(crossmatch, "_PRUNE", prune)
+        runs.clear()
+        for (D, seed), pairs in zip(instances, oracle):
+            runs.append([])
+            assert optimal_matching(D, tie_seed=seed).pairs == pairs
+        calls = [call for matching in runs for call in matching]
+        # a run that found no matching, and one that found a matching and ran
+        # again with no pair entered in between, so on a wider tau
+        assert not all(found for _, _, found in calls)
+        if prune > 0:
+            assert any(a[2] and b[1] == a[1] for matching in runs
+                       for a, b in zip(matching, matching[1:]))
+            assert any(columns < held for columns, held, _ in calls)
+
+
 def test_warm_solve_short_of_optimal_is_run_again_from_scratch(tmp_path, monkeypatch, capsys):
     # On trial 0 of this null-check the warm-started LP stops with status
     # "Unknown"; the from-scratch rerun must then reach the oracle's optimum.
@@ -418,6 +461,19 @@ def test_matching_lp_on_the_private_highs_api():
     with pytest.raises(RuntimeError, match="matching LP failed"):
         crossmatch._MatchingLP(2, np.zeros(0, dtype=int), np.zeros(0, dtype=int),
                                np.zeros(0)).solve()
+    # The integer program's options, and its integrality, which
+    # changeColsIntegrality sets: without it the halves above would cost 3.
+    ip = crossmatch._degree_model(6, crossmatch._IP_OPTIONS)
+    for name, value in crossmatch._IP_OPTIONS:
+        assert ip.getOptionValue(name)[1] == value
+    eu, ev = np.array([0, 0, 1, 2, 3, 3, 4]), np.array([1, 2, 2, 3, 4, 5, 5])
+    chosen, value = crossmatch._integer_matching(6, eu, ev, np.array([1, 1, 1, 10, 1, 1, 1.0]))
+    np.testing.assert_array_equal(chosen, [1, 0, 0, 1, 0, 0, 1])
+    assert value == pytest.approx(12.0)
+    # the two triangles alone hold no perfect matching
+    bridgeless = eu != 2
+    chosen, value = crossmatch._integer_matching(6, eu[bridgeless], ev[bridgeless], np.ones(6))
+    assert chosen is None and value == np.inf
 
 
 # HiGHS keeps one thread scheduler per process, so this runs in a fresh one.

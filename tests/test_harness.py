@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from gibbsmatch import harness
-from gibbsmatch.chains import BernoulliKernel, IdealKernel
+from gibbsmatch import cli, harness
+from gibbsmatch.chains import BernoulliKernel, IdealKernel, run_chains
 from gibbsmatch.crossmatch import crossmatch_test
 from gibbsmatch.harness import (HISTOGRAM_EDGES, EnergyModel, EpeffReport,
-                                PValueStats, SamplerSpec, TrialPlan,
+                                SamplerSpec, TrialPlan,
                                 energy_estimate, epeff, gibbs_ticks,
                                 leak_density_sweep, parameter_sweep,
                                 pvalue_stats, run_trials, tie_seed_for_trial)
@@ -84,7 +84,6 @@ def test_single_trial_equals_direct_crossmatch():
     plan = quick_plan(num_trials=1)
     stats = run_trials(plan)
 
-    from gibbsmatch.chains import IdealKernel, run_chains
     kernel = IdealKernel(model)
     xs = run_chains(kernel, QUICK, plan.base_seed, [(0, 0)])[0]
     ys = run_chains(kernel, QUICK, plan.base_seed, [(0, 1)])[0]
@@ -99,6 +98,35 @@ def test_block_size_never_changes_results(monkeypatch):
     monkeypatch.setattr(harness, "_BLOCK_SIZE", 64)
     b = run_trials(plan)
     np.testing.assert_array_equal(a.p_values, b.p_values)
+
+
+def test_null_check_block_is_one_chain_batch_with_the_two_batch_p_values(tmp_path, monkeypatch):
+    """null-check draws both sides of a block in one chain batch. On the desk
+    model (the CLI's default 16x8) its p-values equal those of each side
+    drawn as a batch of its own."""
+    batches, p_values = [], []
+
+    def spy_chains(kernel, settings, seed, paths):
+        batches.append(list(paths))
+        return run_chains(kernel, settings, seed, paths)
+
+    def keep(x, y, **kwargs):
+        outcome = crossmatch_test(x, y, **kwargs)
+        p_values.append(outcome.p_value)
+        return outcome
+
+    monkeypatch.setattr(harness, "run_chains", spy_chains)
+    monkeypatch.setattr(harness, "crossmatch_test", keep)
+    seed, num_trials = 5, 3
+    assert cli.main(["null-check", "--seed", str(seed), "--trials", str(num_trials),
+                     "--out", str(tmp_path)]) == 0
+    assert batches == [[(t, 0) for t in range(num_trials)] + [(t, 1) for t in range(num_trials)]]
+    kernel = IdealKernel(random_model(16, 8, 0.4, seed))
+    settings = ChainSettings(n_samples=50, burn_in=1000, thin=10)
+    xs, ys = (run_chains(kernel, settings, seed, [(t, side) for t in range(num_trials)])
+              for side in (0, 1))
+    assert p_values == [crossmatch_test(x, y, tie_seed=tie_seed_for_trial(seed, t)).p_value
+                        for t, x, y in zip(range(num_trials), xs, ys)]
 
 
 def test_extending_trials_keeps_prefix():

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hyp_settings, strategies as st
+from hypothesis import given, strategies as st
 
 from gibbsmatch.chains import IdealKernel, run_chain, run_chains
 from gibbsmatch.rbm import (ChainSettings, RbmModel, SampleBatch, TrainConfig,

@@ -3,7 +3,6 @@
 import json
 import xml.etree.ElementTree as ET
 
-import numpy as np
 import pytest
 
 from gibbsmatch.crossmatch import CrossmatchOutcome
