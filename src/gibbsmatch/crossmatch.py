@@ -35,7 +35,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize._highspy import _core as _highs
 from scipy.sparse.csgraph import connected_components
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 
 from .rbm import SampleBatch, as_bits
 from .rng import derive_rng
@@ -50,6 +50,8 @@ __all__ = [
     "cross_count",
     "null_pmf",
     "p_value",
+    "log10_p_value",
+    "P_FLOOR",
     "crossmatch_test",
 ]
 
@@ -74,6 +76,7 @@ _LP_OPTIONS = (("output_flag", False), ("threads", 0), ("presolve", "off"),
 _IP_OPTIONS = (("output_flag", False), ("threads", 0), ("mip_rel_gap", 0.0),
                ("mip_heuristic_run_feasibility_jump", False))
 _PRUNE = 1.0           # the integer program first sees the candidates with rc <= this
+P_FLOOR = float(np.nextafter(0.0, 1.0))  # p_value of a tail below every positive double
 
 
 def _bit_rows(x) -> np.ndarray:
@@ -129,11 +132,15 @@ class Matching:
 
 @dataclass(frozen=True)
 class CrossmatchOutcome:
+    """One test's result. log10_p is set only when the lower tail is below
+    the smallest positive double: p_value then reads P_FLOOR."""
+
     n: int
     a_obs: int
     p_value: float
     method: str
     matching: Matching = field(repr=False, compare=False, default=None)
+    log10_p: float | None = None
 
     def __post_init__(self):
         if not 0 <= self.a_obs <= self.n:
@@ -440,12 +447,8 @@ def cross_count(m: Matching, n: int) -> int:
     return sum(1 for i, j in m.pairs if (i < n) != (j < n))
 
 
-def null_pmf(n: int) -> np.ndarray:
-    """Exact null distribution of the cross count A for group size n.
-
-    f(a) = 2^a n! / (C(2n, n) * (((n - a)/2)!)^2 * a!)  when n - a is even,
-    zero otherwise; evaluated in log-space.
-    """
+def _log_null_pmf(n: int) -> np.ndarray:
+    """log f(a) of null_pmf, -inf where n - a is odd."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     a = np.arange(n + 1)
@@ -453,17 +456,56 @@ def null_pmf(n: int) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         logf = (a * np.log(2.0) + gammaln(n + 1) - log_choose
                 - 2 * gammaln((n - a) / 2 + 1) - gammaln(a + 1))
-    f = np.where((n - a) % 2 == 0, np.exp(logf), 0.0)
-    return f
+    return np.where((n - a) % 2 == 0, logf, -np.inf)
 
 
-def p_value(a_obs: int, n: int) -> float:
-    """Lower-tail probability F(a_obs) = P(A <= a_obs) under the null."""
+def null_pmf(n: int) -> np.ndarray:
+    """Exact null distribution of the cross count A for group size n.
+
+    f(a) = 2^a n! / (C(2n, n) * (((n - a)/2)!)^2 * a!)  when n - a is even,
+    zero otherwise; evaluated in log-space.
+    """
+    return np.exp(_log_null_pmf(n))
+
+
+def _checked_a(a_obs, n: int) -> int:
     a_obs = int(a_obs)
     if not 0 <= a_obs <= n:
         raise ValueError(f"a_obs={a_obs} outside 0..{n}")
-    cdf = np.cumsum(null_pmf(n))
+    return a_obs
+
+
+def _tail_underflows(a_obs: int, n: int, f: np.ndarray) -> bool:
+    """Whether F(a_obs) is positive (a_obs reaches n's parity) while every
+    term of it, f[:a_obs + 1], underflowed to 0."""
+    return a_obs >= n % 2 and not f[:a_obs + 1].any()
+
+
+def p_value(a_obs: int, n: int) -> float:
+    """Lower-tail probability F(a_obs) = P(A <= a_obs) under the null.
+
+    A tail below the smallest positive double reads P_FLOOR, an upper bound
+    on it; log10_p_value gives its size.
+    """
+    a_obs = _checked_a(a_obs, n)
+    f = null_pmf(n)
+    if _tail_underflows(a_obs, n, f):
+        return P_FLOOR
+    cdf = np.cumsum(f)
     return float(cdf[a_obs] / cdf[-1])
+
+
+def log10_p_value(a_obs: int, n: int) -> float | None:
+    """log10 F(a_obs) where p_value floors the tail at P_FLOOR, else None.
+
+    Computed as logsumexp(log f[:a_obs + 1]) - logsumexp(log f), which does
+    not underflow.
+    """
+    a_obs = _checked_a(a_obs, n)
+    logf = _log_null_pmf(n)
+    if not _tail_underflows(a_obs, n, np.exp(logf)):
+        return None
+    return float((logsumexp(logf[:a_obs + 1]) - logsumexp(logf)) / np.log(10.0))
 
 
 def crossmatch_test(X, Y, *, tie_seed: int = 0) -> CrossmatchOutcome:
@@ -476,4 +518,4 @@ def crossmatch_test(X, Y, *, tie_seed: int = 0) -> CrossmatchOutcome:
     m = optimal_matching(D, tie_seed)
     a = cross_count(m, D.n)
     return CrossmatchOutcome(n=D.n, a_obs=a, p_value=p_value(a, D.n),
-                             method=m.method, matching=m)
+                             method=m.method, matching=m, log10_p=log10_p_value(a, D.n))

@@ -6,10 +6,15 @@ fresh per-side chain streams from (base_seed, trial, side) and a matching
 tie-break seed from (base_seed, trial, 2), and runs the Crossmatch test.
 Trials are independent by construction: each draws the same streams
 whatever the batching, and adding trials never perturbs earlier ones.
-Trials run in blocks of _BLOCK_SIZE; when both sides share one sampler, as
-in null-check, a block's two sides run as one chain batch. A sweep runs
-every config under one base_seed, so it draws each block of the shared
-reference side once and tests it against every config.
+Trials run in blocks of _BLOCK_SIZE, and a block's chains run as one chain
+batch wherever they can: both sides of a block when they share one sampler
+(as in null-check), or when two samplers share a model and a schedule. A
+sweep runs every config under one base_seed, so each block of the shared
+reference side is drawn once, in the same batch as every config's side 1,
+and tested against each of them. Stacked kernels share each step's matrix
+products, so a chain's rows see the rounding of the whole batch's width
+(see chains): a sample bit can differ from the same chain run alone when its
+draw lands within a last-bit rounding of its threshold.
 
 Energy is a two-coefficient linear model (active neuron-ticks plus static
 core-ticks) in arbitrary units; the paper-style efficiency figure EPEff is
@@ -23,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chains import GibbsKernel, IdealKernel, run_chains
+from .chains import GibbsKernel, IdealKernel, run_chains, stack, stackable
 from .crossmatch import crossmatch_test
 from .neuro import DigitalKernel, DigitalSamplerConfig, ResourceEstimate, resource_estimate
 from .rbm import ChainSettings, RbmModel
@@ -142,14 +147,15 @@ def _side_samples(spec: SamplerSpec, base_seed: int, side: int, trials: range) -
 
 def _both_sides(plan: TrialPlan, trials: range) -> tuple[np.ndarray, np.ndarray]:
     """Side 0 and side 1 of a block of trials; one chain batch when both sides
-    share a sampler."""
-    if plan.sampler_a != plan.sampler_b:
-        return (_side_samples(plan.sampler_a, plan.base_seed, 0, trials),
-                _side_samples(plan.sampler_b, plan.base_seed, 1, trials))
-    spec = plan.sampler_a
-    both = run_chains(spec.kernel, spec.settings, plan.base_seed,
+    share a schedule and either a sampler or a model."""
+    a, b = plan.sampler_a, plan.sampler_b
+    if a.settings != b.settings or not (a.kernel is b.kernel or stackable(a.kernel, b.kernel)):
+        return (_side_samples(a, plan.base_seed, 0, trials),
+                _side_samples(b, plan.base_seed, 1, trials))
+    n = len(trials)
+    both = run_chains(stack([(a.kernel, n), (b.kernel, n)]), a.settings, plan.base_seed,
                       [(trial, 0) for trial in trials] + [(trial, 1) for trial in trials])
-    return both[:len(trials)], both[len(trials):]
+    return both[:n], both[n:]
 
 
 def _trial_blocks(num_trials: int) -> list[range]:
@@ -211,7 +217,8 @@ def _sweep_reports(model: RbmModel, labeled_configs, reference: SamplerSpec,
 
     Every config runs under the same base_seed, so side 0 of trial i is the
     same reference chain for all of them: each block of it is drawn once and
-    tested against every config.
+    tested against every config. A block's reference chains and every
+    config's side 1 run as one chain batch.
     """
     plans = [TrialPlan(sampler_a=reference,
                        sampler_b=SamplerSpec(DigitalKernel(model, cfg, base_seed), settings),
@@ -219,10 +226,13 @@ def _sweep_reports(model: RbmModel, labeled_configs, reference: SamplerSpec,
              for _, cfg in labeled_configs]
     p_values = [[] for _ in plans]
     for trials in _trial_blocks(num_trials):
-        xs = _side_samples(reference, base_seed, 0, trials)
-        for plan, ps in zip(plans, p_values):
-            ps += _block_p_values(plan, trials, xs,
-                                  _side_samples(plan.sampler_b, base_seed, 1, trials))
+        n = len(trials)
+        kernel = stack([(reference.kernel, n)] + [(plan.sampler_b.kernel, n) for plan in plans])
+        samples = run_chains(kernel, settings, base_seed,
+                             [(trial, 0) for trial in trials]
+                             + [(trial, 1) for trial in trials] * len(plans))
+        for i, (plan, ps) in enumerate(zip(plans, p_values), 1):
+            ps += _block_p_values(plan, trials, samples[:n], samples[i * n:(i + 1) * n])
     reports = []
     for (label, cfg), ps in zip(labeled_configs, p_values):
         mean_p = pvalue_stats(ps).mean_p

@@ -200,15 +200,18 @@ def _consecutive_groups(n_units: int, density: int, perm: np.ndarray | None) -> 
 
 
 def _window_spikes(v0: np.ndarray, cfg: DigitalSamplerConfig, u_leak: np.ndarray,
-                   u_thresh: np.ndarray, group_of_unit: np.ndarray) -> np.ndarray:
+                   u_thresh: np.ndarray, group_of_unit: np.ndarray | None) -> np.ndarray:
     """Spike indicator per unit over one sampling window.
 
     v0: (..., m) scaled initial potentials; u_leak: (..., window, g) uniforms
-    for the shared leak coins; u_thresh: (..., window, m) uniforms for the
-    stochastic threshold. Iteration order per the neuron dynamics: add the
-    leak, then compare against threshold + floor(u * 2^bits).
+    for the shared leak coins (group_of_unit None: g == m, unit i reads
+    column i); u_thresh: (..., window, m) uniforms for the stochastic
+    threshold. Iteration order per the neuron dynamics: add the leak, then
+    compare against threshold + floor(u * 2^bits).
     """
-    leak_hits = (u_leak < 0.5)[..., group_of_unit]
+    leak_hits = u_leak < 0.5
+    if group_of_unit is not None:
+        leak_hits = leak_hits[..., group_of_unit]
     V = v0[..., None, :] + cfg.leak * np.cumsum(leak_hits, axis=-2, dtype=np.float64)
     levels = np.floor(u_thresh * float(1 << cfg.threshold_bits))
     return (V >= cfg.threshold + levels).any(axis=-2)
@@ -261,10 +264,13 @@ class DigitalKernel:
         if cfg.random_groups:
             hidden_perm = derive_rng(seed, 0xD0, 0).permutation(nh)
             visible_perm = derive_rng(seed, 0xD0, 1).permutation(nv)
-        self._g_h = _consecutive_groups(nh, cfg.leak_density, hidden_perm)
-        self._g_v = _consecutive_groups(nv, cfg.leak_density, visible_perm)
-        self._ng_h = int(self._g_h.max()) + 1
-        self._ng_v = int(self._g_v.max()) + 1
+        # At leak density 1 in index order every unit has its own leak coin:
+        # no gather. With random groups the map is a permutation, so it stays.
+        own_coins = cfg.leak_density == 1 and not cfg.random_groups
+        self._g_h = None if own_coins else _consecutive_groups(nh, cfg.leak_density, hidden_perm)
+        self._g_v = None if own_coins else _consecutive_groups(nv, cfg.leak_density, visible_perm)
+        self._ng_h = -(-nh // cfg.leak_density)
+        self._ng_v = -(-nv // cfg.leak_density)
         # Per-step uniform layout: leak_h, thresh_h, leak_v, thresh_v.
         self._cuts = np.cumsum([w * self._ng_h, w * nh, w * self._ng_v, w * nv])
         self.n_uniforms_per_step = int(self._cuts[-1])
@@ -278,13 +284,18 @@ class DigitalKernel:
         spikes = _window_spikes(self.cfg.scale * net, self.cfg, u_leak, u_thresh, group_of_unit)
         return spikes.astype(np.float64)
 
+    def sample_hidden(self, net, u, z):
+        c = self._cuts
+        return self._update_layer(net, u[:, :c[0]], u[:, c[0]:c[1]], self._g_h, self._ng_h)
+
+    def sample_visible(self, net, u, z):
+        c = self._cuts
+        return self._update_layer(net, u[:, c[1]:c[2]], u[:, c[2]:c[3]], self._g_v, self._ng_v)
+
     def step(self, v, u, z):
         m = self.model
-        c = self._cuts
-        net_h = v @ m.W + m.b_h
-        h = self._update_layer(net_h, u[:, :c[0]], u[:, c[0]:c[1]], self._g_h, self._ng_h)
-        net_v = h @ m.W.T + m.b_v
-        return self._update_layer(net_v, u[:, c[1]:c[2]], u[:, c[2]:c[3]], self._g_v, self._ng_v)
+        h = self.sample_hidden(v @ m.W + m.b_h, u, z)
+        return self.sample_visible(h @ m.W.T + m.b_v, u, z)
 
 
 def _lif_window(currents: np.ndarray, cfg: AnalogConfig, z: np.ndarray,
@@ -333,16 +344,20 @@ class AnalogKernel:
         # Per-step normal layout: hidden noise then visible noise.
         self.n_normals_per_step = cfg.window * (self._ng_h + self._ng_v)
 
+    def sample_hidden(self, net, u, z):
+        w = self.cfg.window
+        z_h = z[:, :w * self._ng_h].reshape(-1, w, self._ng_h)
+        return _lif_window(net, self.cfg, z_h, self._g_h).astype(np.float64)
+
+    def sample_visible(self, net, u, z):
+        w = self.cfg.window
+        z_v = z[:, w * self._ng_h:].reshape(-1, w, self._ng_v)
+        return _lif_window(net, self.cfg, z_v, self._g_v).astype(np.float64)
+
     def step(self, v, u, z):
         m = self.model
-        w = self.cfg.window
-        cut = w * self._ng_h
-        net_h = v @ m.W + m.b_h
-        z_h = z[:, :cut].reshape(-1, w, self._ng_h)
-        h = _lif_window(net_h, self.cfg, z_h, self._g_h).astype(np.float64)
-        net_v = h @ m.W.T + m.b_v
-        z_v = z[:, cut:].reshape(-1, w, self._ng_v)
-        return _lif_window(net_v, self.cfg, z_v, self._g_v).astype(np.float64)
+        h = self.sample_hidden(v @ m.W + m.b_h, u, z)
+        return self.sample_visible(h @ m.W.T + m.b_v, u, z)
 
 
 PRESET_CONFIGS = _presets()

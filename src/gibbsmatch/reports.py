@@ -46,10 +46,13 @@ def histogram_csv(stats: PValueStats, edges) -> str:
 
 
 def outcome_json(outcome: CrossmatchOutcome) -> str:
+    """The outcome's fields; log10_p only when the p-value underflowed."""
     import json
-    return json.dumps({"n": outcome.n, "a_obs": outcome.a_obs,
-                       "p_value": outcome.p_value, "method": outcome.method},
-                      indent=2) + "\n"
+    doc = {"n": outcome.n, "a_obs": outcome.a_obs,
+           "p_value": outcome.p_value, "method": outcome.method}
+    if outcome.log10_p is not None:
+        doc["log10_p"] = outcome.log10_p
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def stats_json(stats: PValueStats, extra: dict | None = None) -> str:

@@ -1,10 +1,14 @@
-"""The shared chain engine: chunking, stream layout, kernel protocol."""
+"""The shared chain engine: chunking, stream layout, kernel protocol, stacks."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gibbsmatch import chains
-from gibbsmatch.chains import BernoulliKernel, IdealKernel, run_chain, run_chains
+from gibbsmatch.chains import (BernoulliKernel, IdealKernel, StackKernel, run_chain, run_chains,
+                               stack, stackable)
+from gibbsmatch.neuro import PRESET_CONFIGS, AnalogConfig, AnalogKernel, DigitalKernel
 from gibbsmatch.rbm import ChainSettings, random_model
 from gibbsmatch.rng import derive_rng
 
@@ -133,3 +137,74 @@ def test_bernoulli_kernel_validation():
     k = BernoulliKernel(0.25, 3)
     assert (k.n_visible, k.n_uniforms_per_step, k.n_normals_per_step) == (3, 3, 0)
     assert k.label == "bernoulli(rate=0.25,bits=3)"
+
+
+# --- stacks of kernels on one model ------------------------------------------------
+
+def every_sampler_kind(model):
+    """Ideal, G1-G7, leak density 3 with random groups, and analog with shared
+    noise: uniform-only and normal-only parts, with and without a leak gather."""
+    g4 = dict(PRESET_CONFIGS)["G4"]
+    return ([IdealKernel(model)]
+            + [DigitalKernel(model, cfg, 7) for _, cfg in PRESET_CONFIGS]
+            + [DigitalKernel(model, replace(g4, leak_density=3, random_groups=True), 7),
+               AnalogKernel(model, AnalogConfig(noise_density=2))])
+
+
+@pytest.mark.parametrize("target", [chains._CHUNK_TARGET_BYTES, 1])
+def test_every_stacked_chain_equals_its_own_one_chain_run(monkeypatch, target):
+    # 64x32: OpenBLAS picks its product kernel by batch width at this size, so
+    # the stack's 20-row products round unlike the 1-row products of each
+    # chain alone. 150 steps cross chunk edges. Target 1 refills every step
+    # and cuts the stack into batches of one step's largest part.
+    monkeypatch.setattr(chains, "_CHUNK_TARGET_BYTES", target)
+    model = random_model(64, 32, 0.3, seed=4)
+    kernels = every_sampler_kind(model)
+    paths = [(t, i) for i in range(len(kernels)) for t in range(2)]
+    cs = ChainSettings(n_samples=10, burn_in=50, thin=10)
+    got = run_chains(stack([(k, 2) for k in kernels]), cs, 9, paths)
+    for c, path in enumerate(paths):
+        alone = run_chains(kernels[c // 2], cs, 9, [path])[0]
+        np.testing.assert_array_equal(got[c], alone)
+
+
+def test_stack_merges_one_kernel_into_its_plain_self():
+    model = random_model(4, 2, 0.3, seed=1)
+    ideal, other = IdealKernel(model), IdealKernel(model)
+    assert stack([(ideal, 3), (ideal, 2)]) is ideal
+    two = stack([(ideal, 1), (ideal, 2), (other, 4)])
+    assert isinstance(two, StackKernel)
+    assert two.parts == ((ideal, 3), (other, 4))
+    assert (two.n_visible, two.n_uniforms_per_step, two.n_normals_per_step) == (4, 6, 0)
+
+
+def test_only_kernels_on_one_model_stack():
+    model = random_model(4, 2, 0.3, seed=1)
+    same_shape = random_model(4, 2, 0.3, seed=1)
+    assert stackable(IdealKernel(model), AnalogKernel(model, AnalogConfig()))
+    assert not stackable(IdealKernel(model), IdealKernel(same_shape))
+    assert not stackable(IdealKernel(model), BernoulliKernel(0.5, 4))
+    assert not stackable(BernoulliKernel(0.5, 4), BernoulliKernel(0.5, 4))
+    with pytest.raises(ValueError):
+        StackKernel([(IdealKernel(model), 1), (IdealKernel(same_shape), 1)])
+    with pytest.raises(ValueError):
+        run_chains(StackKernel([(IdealKernel(model), 1), (IdealKernel(model), 2)]),
+                   ChainSettings(n_samples=2, burn_in=0, thin=1), 0, [(0,), (1,)])
+
+
+@pytest.mark.parametrize("width,n_batches", [(1, 1), (64, 4)])
+def test_a_stack_holds_no_more_draws_than_its_largest_part_alone(width, n_batches):
+    # the paper sweep's block: the ideal side and G1-G7 at `width` chains each
+    model = random_model(784, 500, 0.01, seed=0)
+    parts = [(k, width) for k in every_sampler_kind(model)[:8]]
+    total = ChainSettings(n_samples=50, burn_in=1000, thin=10).total_steps
+    budget, batches = chains._batches(parts, total)
+    assert budget == max(chains._batches([part], total)[0] for part in parts)
+    if width == 1:  # G5-G7 alone: 64 steps of windows of 16 on both layers
+        assert budget == 64 * 8 * 16 * (2 * 500 + 2 * 784)
+    # at width 64 one step of every part is too much: ideal to G4, then G5, G6, G7
+    assert len(batches) == n_batches
+    assert [part for batch in batches for part in batch] == parts
+    for batch in batches:
+        step = sum(chains._step_bytes(k, n) for k, n in batch)
+        assert chains._chunk_steps(step, budget, total) * step <= budget

@@ -137,6 +137,26 @@ def test_identical_dumps_test_at_p_one(tmp_path, capsys):
     assert on_disk == doc
 
 
+def test_a_p_value_below_the_double_floor_is_reported(tmp_path, capsys):
+    """Two 1100-sample dumps from far-apart sources: the tail F(a_obs) is
+    below the smallest positive double. p_value reads that double, and
+    log10_p gives the tail's size."""
+    for name, rate in (("lo", 0.1), ("hi", 0.9)):
+        cfg = write_cfg(tmp_path, name=f"{name}.json",
+                        sampler_a={"kind": "bernoulli", "rate": rate, "n_bits": 64})
+        assert main(["sample", "--seed", "3", "--config", cfg, "--out", str(tmp_path / name),
+                     "--n-per-trial", "1100"]) == 0
+    capsys.readouterr()
+    assert main(["test", str(tmp_path / "lo" / "samples.txt"),
+                 str(tmp_path / "hi" / "samples.txt"), "--seed", "1",
+                 "--out", str(tmp_path / "t")]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["p_value"] == crossmatch.P_FLOOR
+    assert doc["log10_p"] == crossmatch.log10_p_value(doc["a_obs"], 1100)
+    assert doc["log10_p"] < -323
+    assert json.loads((tmp_path / "t" / "outcome.json").read_text()) == doc
+
+
 def test_train_then_sample_from_file(tmp_path, capsys):
     cfg = write_cfg(tmp_path,
                     model={"kind": "train", "n_hidden": 4, "epochs": 2},

@@ -6,12 +6,16 @@ exhaustive search over all perfect matchings, against the dense integer
 program of matching_oracle (same pairs), and against an independent blossom
 implementation from networkx on larger instances (same total); the greedy
 matcher against a from-scratch replay of its documented tie-break contract.
+p-values below the smallest positive double are checked against exact
+rational tails.
 """
 
 import itertools
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +23,10 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from gibbsmatch import cli, crossmatch, harness
-from gibbsmatch.crossmatch import (CrossmatchOutcome, DistanceMatrix, Matching,
+from gibbsmatch.crossmatch import (P_FLOOR, CrossmatchOutcome, DistanceMatrix, Matching,
                                    cross_count, crossmatch_test, greedy_matching,
-                                   null_pmf, optimal_matching, p_value, pairwise_distances)
+                                   log10_p_value, null_pmf, optimal_matching, p_value,
+                                   pairwise_distances)
 from gibbsmatch.rbm import ChainSettings, SampleBatch
 from gibbsmatch.rng import derive_rng
 from matching_oracle import milp_pairs
@@ -194,6 +199,43 @@ def test_p_value_basics():
         p_value(-1, 4)
     with pytest.raises(ValueError):
         p_value(5, 4)
+
+
+def exact_tail(a_obs, n):
+    """F(a_obs) as a rational: f(a) = 2^a n! / (((n-a)/2)!^2 a!) / C(2n, n),
+    whose numerator is 2^a times a multinomial coefficient, an integer."""
+    fact = math.factorial
+    num = sum(2**a * (fact(n) // (fact((n - a) // 2) ** 2 * fact(a)))
+              for a in range(n % 2, a_obs + 1, 2))
+    return Fraction(num, math.comb(2 * n, n))
+
+
+def log10_exact(q: Fraction) -> float:
+    return math.log10(q.numerator) - math.log10(q.denominator)
+
+
+@pytest.mark.parametrize("n,a_obs", [(1100, 0), (1100, 2), (5000, 0), (5000, 1000)])
+def test_p_value_below_the_double_floor_reads_the_floor_and_its_exact_log(n, a_obs):
+    tail = exact_tail(a_obs, n)
+    assert tail < P_FLOOR
+    assert p_value(a_obs, n) == P_FLOOR
+    assert log10_p_value(a_obs, n) == pytest.approx(log10_exact(tail), rel=1e-13)
+
+
+@pytest.mark.parametrize("n,a_obs", [(1100, 4), (1100, 6), (1100, 40)])
+def test_representable_p_value_keeps_its_expression_and_has_no_log(n, a_obs):
+    # a_obs 4 and 6 at n 1100 are subnormal tails that p_value has always returned
+    cdf = np.cumsum(null_pmf(n))
+    assert p_value(a_obs, n) == float(cdf[a_obs] / cdf[-1]) > 0
+    assert p_value(a_obs, n) == pytest.approx(float(exact_tail(a_obs, n)),
+                                              rel=1e-9 if a_obs > 6 else 1e-2)
+    assert log10_p_value(a_obs, n) is None
+
+
+def test_an_empty_tail_is_zero():
+    # below the smallest cross count of n's parity, F is exactly 0, as before
+    assert p_value(0, 1) == p_value(0, 1081) == 0.0
+    assert log10_p_value(0, 1081) is None
 
 
 @given(st.integers(min_value=1, max_value=80))

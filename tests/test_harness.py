@@ -344,6 +344,52 @@ def test_sweep_samples_reference_side_once(monkeypatch, sweep):
         (t, 1) for t in range(num_trials) for _ in configs)
 
 
+def spy_chain_calls(monkeypatch) -> list:
+    """Record the paths of each run_chains call the harness makes."""
+    calls = []
+    real = harness.run_chains
+
+    def spy(kernel, settings, seed, paths):
+        calls.append(list(paths))
+        return real(kernel, settings, seed, paths)
+
+    monkeypatch.setattr(harness, "run_chains", spy)
+    return calls
+
+
+@pytest.mark.parametrize("sweep", ["parameter", "leak_density"])
+def test_a_sweep_runs_one_chain_batch_per_trial_block(monkeypatch, sweep):
+    model = random_model(6, 3, 0.4, seed=303)
+    settings = replace(QUICK, n_samples=6)
+    calls = spy_chain_calls(monkeypatch)
+    configs = [("a", sweep_cfg()), ("b", sweep_cfg(threshold=-60)), ("a2", sweep_cfg())]
+    if sweep == "parameter":
+        parameter_sweep(model, configs, settings, num_trials=66, base_seed=77)
+    else:
+        leak_density_sweep(model, sweep_cfg(), [1, 2, 5], settings, num_trials=66,
+                           base_seed=77)
+    blocks = [range(0, 64), range(64, 66)]
+    assert calls == [[(t, 0) for t in trials] + [(t, 1) for t in trials] * 3
+                     for trials in blocks]
+
+
+def test_two_samplers_on_one_model_run_as_one_chain_batch(monkeypatch):
+    """A block's sides share a chain batch when their samplers share a model
+    and a schedule; the p-values equal those of each side run alone."""
+    model = random_model(6, 3, 0.4, seed=300)
+    plan = TrialPlan(sampler_a=SamplerSpec(IdealKernel(model), QUICK),
+                     sampler_b=SamplerSpec(DigitalKernel(model, sweep_cfg(), 1234), QUICK),
+                     num_trials=5, base_seed=1234)
+    calls = spy_chain_calls(monkeypatch)
+    stats = run_trials(plan)
+    assert calls == [[(t, 0) for t in range(5)] + [(t, 1) for t in range(5)]]
+    xs, ys = (run_chains(spec.kernel, QUICK, plan.base_seed, [(t, side) for t in range(5)])
+              for side, spec in enumerate((plan.sampler_a, plan.sampler_b)))
+    assert list(stats.p_values) == [
+        crossmatch_test(x, y, tie_seed=tie_seed_for_trial(plan.base_seed, t)).p_value
+        for t, x, y in zip(range(5), xs, ys)]
+
+
 def test_tie_seed_is_stable():
     assert tie_seed_for_trial(1234, 0) == tie_seed_for_trial(1234, 0)
     assert tie_seed_for_trial(1234, 0) != tie_seed_for_trial(1234, 1)

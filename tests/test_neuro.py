@@ -203,6 +203,27 @@ def test_digital_chain_random_groups_matches_manual_steps():
     np.testing.assert_array_equal(batch.samples, recorded)
 
 
+def test_digital_chain_at_leak_density_one_matches_manual_steps():
+    """At leak density 1 in index order the kernel reads each unit's own leak
+    coin without a gather; with random groups the map is a permutation, so
+    the gather stays and moves the samples. Both replay the oracle, which
+    always gathers."""
+    model = random_model(6, 4, 0.5, seed=3)
+    cs = ChainSettings(n_samples=10, burn_in=20, thin=2)
+    samples = {}
+    for random_groups in (False, True):
+        cfg = DigitalSamplerConfig(window=3, threshold=0, threshold_bits=8, leak=50,
+                                   scale=40, random_groups=random_groups)
+        samples[random_groups] = digital_chain(model, cs, cfg, 33).samples
+        perms = ((derive_rng(33, 0xD0, 0).permutation(4), derive_rng(33, 0xD0, 1).permutation(6))
+                 if random_groups else (None, None))
+        v0 = (derive_rng(33, 0).random(6) < 0.5).astype(np.uint8)
+        rng = derive_rng(33, 1)
+        recorded = record_chain(lambda v: digital_gibbs_step(model, v, cfg, rng, *perms), v0, cs)
+        np.testing.assert_array_equal(samples[random_groups], recorded)
+    assert not np.array_equal(samples[False], samples[True])
+
+
 def leak_dominated_cfg(density, random_groups=False):
     """With a zero model every unit's sample equals its group's leak coin:
     V starts at 0, one leak hit crosses the threshold, no hit stays below."""

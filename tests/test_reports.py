@@ -53,6 +53,8 @@ def test_outcome_json():
     out = CrossmatchOutcome(n=5, a_obs=3, p_value=0.25, method="optimal")
     doc = json.loads(outcome_json(out))
     assert doc == {"n": 5, "a_obs": 3, "p_value": 0.25, "method": "optimal"}
+    floored = CrossmatchOutcome(n=4, a_obs=0, p_value=5e-324, method="optimal", log10_p=-400.5)
+    assert json.loads(outcome_json(floored))["log10_p"] == -400.5
 
 
 def test_stats_json_with_extra():
