@@ -32,7 +32,7 @@ from scipy.special import expit
 from .rbm import ChainSettings, RbmModel, SampleBatch
 from .rng import derive_rng
 
-__all__ = ["GibbsKernel", "IdealKernel", "BernoulliKernel", "StackKernel", "stack", "stackable",
+__all__ = ["GibbsKernel", "IdealKernel", "BernoulliKernel", "StackKernel", "stack", "layered_step",
            "run_chains", "run_chain"]
 
 # Sub-stream tags appended to a chain's path.
@@ -52,6 +52,15 @@ class GibbsKernel(Protocol):
         ...
 
 
+def layered_step(kernel, v, u, z):
+    """One full Gibbs step of a kernel that splits it into layer updates:
+    kernel.sample_hidden(v @ W + b_h), then kernel.sample_visible(h @ W.T + b_v).
+    Such kernels take it as their step method."""
+    m = kernel.model
+    h = kernel.sample_hidden(v @ m.W + m.b_h, u, z)
+    return kernel.sample_visible(h @ m.W.T + m.b_v, u, z)
+
+
 class IdealKernel:
     """Sigmoid block update: resample h from v, then v from h (the software benchmark)."""
 
@@ -69,10 +78,7 @@ class IdealKernel:
     def sample_visible(self, net, u, z):
         return (u[:, self.model.n_hidden:] < expit(net)).astype(np.float64)
 
-    def step(self, v, u, z):
-        m = self.model
-        h = self.sample_hidden(v @ m.W + m.b_h, u, z)
-        return self.sample_visible(h @ m.W.T + m.b_v, u, z)
+    step = layered_step
 
 
 class BernoulliKernel:
@@ -102,14 +108,6 @@ class BernoulliKernel:
         return (u < self.rate).astype(np.float64)
 
 
-def stackable(*kernels) -> bool:
-    """Whether the kernels can be parts of one StackKernel: all sit on one
-    model and split their step into sample_hidden and sample_visible."""
-    model = getattr(kernels[0], "model", None)
-    return model is not None and all(
-        getattr(k, "model", None) is model and hasattr(k, "sample_hidden") for k in kernels)
-
-
 class StackKernel:
     """Several kernels on one model, stepped as one batch.
 
@@ -122,10 +120,13 @@ class StackKernel:
 
     def __init__(self, parts):
         parts = tuple(parts)
-        if len(parts) < 2 or not stackable(*(kernel for kernel, _ in parts)):
-            raise ValueError("a stack needs two or more kernels on one model")
+        model = getattr(parts[0][0], "model", None)
+        if len(parts) < 2 or model is None or not all(
+                getattr(k, "model", None) is model and hasattr(k, "sample_hidden")
+                for k, _ in parts):
+            raise ValueError("a stack needs two or more layered kernels on one model")
         self.parts = parts
-        self.model = parts[0][0].model
+        self.model = model
         self.label = "+".join(kernel.label for kernel, _ in parts)
         self.n_visible = self.model.n_visible
         n_chains = sum(n for _, n in parts)
@@ -134,29 +135,21 @@ class StackKernel:
         ends = np.cumsum([n for _, n in parts])
         self._layers = [(kernel, slice(end - n, end)) for (kernel, n), end in zip(parts, ends)]
 
-    def step(self, v, u, z):
-        m = self.model
-        layers = list(zip(self._layers, u, z))
-        net = v @ m.W + m.b_h
-        h = np.concatenate([k.sample_hidden(net[rows], ur, zr) for (k, rows), ur, zr in layers])
-        net = h @ m.W.T + m.b_v
+    def sample_hidden(self, net, u, z):
+        return np.concatenate([k.sample_hidden(net[rows], ur, zr)
+                               for (k, rows), ur, zr in zip(self._layers, u, z)])
+
+    def sample_visible(self, net, u, z):
         return np.concatenate([k.sample_visible(net[rows], ur, zr)
-                               for (k, rows), ur, zr in layers])
+                               for (k, rows), ur, zr in zip(self._layers, u, z)])
+
+    step = layered_step
 
 
 def stack(parts) -> GibbsKernel:
-    """One kernel for the rows of (kernel, n_chains) parts, in order.
-
-    Neighbouring parts with the same kernel merge, and a single part is its
-    plain kernel, so a batch of one sampler runs exactly as it does alone.
-    """
-    merged = []
-    for kernel, n in parts:
-        if merged and merged[-1][0] is kernel:
-            merged[-1] = (kernel, merged[-1][1] + n)
-        else:
-            merged.append((kernel, n))
-    return merged[0][0] if len(merged) == 1 else StackKernel(merged)
+    """One kernel for the rows of (kernel, n_chains) parts, in order. A single
+    part is its plain kernel, so a batch of one sampler runs as it does alone."""
+    return parts[0][0] if len(parts) == 1 else StackKernel(parts)
 
 
 def _initial_states(n_visible: int, seed: int, paths: Sequence[tuple]) -> np.ndarray:

@@ -50,7 +50,6 @@ __all__ = [
     "cross_count",
     "null_pmf",
     "p_value",
-    "log10_p_value",
     "P_FLOOR",
     "crossmatch_test",
 ]
@@ -132,8 +131,9 @@ class Matching:
 
 @dataclass(frozen=True)
 class CrossmatchOutcome:
-    """One test's result. log10_p is set only when the lower tail is below
-    the smallest positive double: p_value then reads P_FLOOR."""
+    """One test's result. log10_p is set only when every term of the lower
+    tail underflowed: p_value then reads P_FLOOR, the smallest positive
+    double, and log10_p gives the tail's size."""
 
     n: int
     a_obs: int
@@ -468,44 +468,31 @@ def null_pmf(n: int) -> np.ndarray:
     return np.exp(_log_null_pmf(n))
 
 
-def _checked_a(a_obs, n: int) -> int:
+def _tail(a_obs: int, n: int) -> tuple[float, float | None]:
+    """(p, log10_p) for the lower tail F(a_obs) = P(A <= a_obs) under the null.
+
+    p is F(a_obs) as a double. A nonempty tail whose every term underflowed
+    reads P_FLOOR, an upper bound on it, and log10_p then gives its size as
+    logsumexp(log f[:a_obs + 1]) - logsumexp(log f), which does not
+    underflow; otherwise log10_p is None.
+    """
     a_obs = int(a_obs)
     if not 0 <= a_obs <= n:
         raise ValueError(f"a_obs={a_obs} outside 0..{n}")
-    return a_obs
-
-
-def _tail_underflows(a_obs: int, n: int, f: np.ndarray) -> bool:
-    """Whether F(a_obs) is positive (a_obs reaches n's parity) while every
-    term of it, f[:a_obs + 1], underflowed to 0."""
-    return a_obs >= n % 2 and not f[:a_obs + 1].any()
+    logf = _log_null_pmf(n)
+    cdf = np.cumsum(np.exp(logf))
+    if cdf[a_obs] == 0 and a_obs >= n % 2:
+        return P_FLOOR, float((logsumexp(logf[:a_obs + 1]) - logsumexp(logf)) / np.log(10.0))
+    return float(cdf[a_obs] / cdf[-1]), None
 
 
 def p_value(a_obs: int, n: int) -> float:
     """Lower-tail probability F(a_obs) = P(A <= a_obs) under the null.
 
-    A tail below the smallest positive double reads P_FLOOR, an upper bound
-    on it; log10_p_value gives its size.
+    A positive tail below the smallest positive double reads P_FLOOR, an
+    upper bound on it; crossmatch_test then also reports its log10.
     """
-    a_obs = _checked_a(a_obs, n)
-    f = null_pmf(n)
-    if _tail_underflows(a_obs, n, f):
-        return P_FLOOR
-    cdf = np.cumsum(f)
-    return float(cdf[a_obs] / cdf[-1])
-
-
-def log10_p_value(a_obs: int, n: int) -> float | None:
-    """log10 F(a_obs) where p_value floors the tail at P_FLOOR, else None.
-
-    Computed as logsumexp(log f[:a_obs + 1]) - logsumexp(log f), which does
-    not underflow.
-    """
-    a_obs = _checked_a(a_obs, n)
-    logf = _log_null_pmf(n)
-    if not _tail_underflows(a_obs, n, np.exp(logf)):
-        return None
-    return float((logsumexp(logf[:a_obs + 1]) - logsumexp(logf)) / np.log(10.0))
+    return _tail(a_obs, n)[0]
 
 
 def crossmatch_test(X, Y, *, tie_seed: int = 0) -> CrossmatchOutcome:
@@ -517,5 +504,6 @@ def crossmatch_test(X, Y, *, tie_seed: int = 0) -> CrossmatchOutcome:
     D = pairwise_distances(X, Y)
     m = optimal_matching(D, tie_seed)
     a = cross_count(m, D.n)
-    return CrossmatchOutcome(n=D.n, a_obs=a, p_value=p_value(a, D.n),
-                             method=m.method, matching=m, log10_p=log10_p_value(a, D.n))
+    p, log10_p = _tail(a, D.n)
+    return CrossmatchOutcome(n=D.n, a_obs=a, p_value=p, method=m.method, matching=m,
+                             log10_p=log10_p)

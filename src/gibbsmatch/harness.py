@@ -6,15 +6,14 @@ fresh per-side chain streams from (base_seed, trial, side) and a matching
 tie-break seed from (base_seed, trial, 2), and runs the Crossmatch test.
 Trials are independent by construction: each draws the same streams
 whatever the batching, and adding trials never perturbs earlier ones.
-Trials run in blocks of _BLOCK_SIZE, and a block's chains run as one chain
-batch wherever they can: both sides of a block when they share one sampler
-(as in null-check), or when two samplers share a model and a schedule. A
-sweep runs every config under one base_seed, so each block of the shared
-reference side is drawn once, in the same batch as every config's side 1,
-and tested against each of them. Stacked kernels share each step's matrix
-products, so a chain's rows see the rounding of the whole batch's width
-(see chains): a sample bit can differ from the same chain run alone when its
-draw lands within a last-bit rounding of its threshold.
+Trials run in blocks of _BLOCK_SIZE; when both sides share one sampler, as
+in null-check, a block's two sides run as one chain batch. A sweep runs
+every config under one base_seed, so each block of the shared reference
+side is drawn once, in the same batch as every config's side 1, and tested
+against each of them. Stacked kernels share each step's matrix products,
+so a chain's rows see the rounding of the whole batch's width (see chains):
+a sample bit can differ from the same chain run alone when its draw lands
+within a last-bit rounding of its threshold.
 
 Energy is a two-coefficient linear model (active neuron-ticks plus static
 core-ticks) in arbitrary units; the paper-style efficiency figure EPEff is
@@ -28,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chains import GibbsKernel, IdealKernel, run_chains, stack, stackable
+from .chains import GibbsKernel, IdealKernel, run_chains, stack
 from .crossmatch import crossmatch_test
 from .neuro import DigitalKernel, DigitalSamplerConfig, ResourceEstimate, resource_estimate
 from .rbm import ChainSettings, RbmModel
@@ -147,15 +146,14 @@ def _side_samples(spec: SamplerSpec, base_seed: int, side: int, trials: range) -
 
 def _both_sides(plan: TrialPlan, trials: range) -> tuple[np.ndarray, np.ndarray]:
     """Side 0 and side 1 of a block of trials; one chain batch when both sides
-    share a schedule and either a sampler or a model."""
-    a, b = plan.sampler_a, plan.sampler_b
-    if a.settings != b.settings or not (a.kernel is b.kernel or stackable(a.kernel, b.kernel)):
-        return (_side_samples(a, plan.base_seed, 0, trials),
-                _side_samples(b, plan.base_seed, 1, trials))
-    n = len(trials)
-    both = run_chains(stack([(a.kernel, n), (b.kernel, n)]), a.settings, plan.base_seed,
+    share a sampler."""
+    if plan.sampler_a != plan.sampler_b:
+        return (_side_samples(plan.sampler_a, plan.base_seed, 0, trials),
+                _side_samples(plan.sampler_b, plan.base_seed, 1, trials))
+    spec = plan.sampler_a
+    both = run_chains(spec.kernel, spec.settings, plan.base_seed,
                       [(trial, 0) for trial in trials] + [(trial, 1) for trial in trials])
-    return both[:n], both[n:]
+    return both[:len(trials)], both[len(trials):]
 
 
 def _trial_blocks(num_trials: int) -> list[range]:

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chains import layered_step
 from .rbm import RbmModel
 from .rng import derive_rng
 
@@ -292,10 +293,7 @@ class DigitalKernel:
         c = self._cuts
         return self._update_layer(net, u[:, c[1]:c[2]], u[:, c[2]:c[3]], self._g_v, self._ng_v)
 
-    def step(self, v, u, z):
-        m = self.model
-        h = self.sample_hidden(v @ m.W + m.b_h, u, z)
-        return self.sample_visible(h @ m.W.T + m.b_v, u, z)
+    step = layered_step
 
 
 def _lif_window(currents: np.ndarray, cfg: AnalogConfig, z: np.ndarray,
@@ -354,10 +352,7 @@ class AnalogKernel:
         z_v = z[:, w * self._ng_h:].reshape(-1, w, self._ng_v)
         return _lif_window(net, self.cfg, z_v, self._g_v).astype(np.float64)
 
-    def step(self, v, u, z):
-        m = self.model
-        h = self.sample_hidden(v @ m.W + m.b_h, u, z)
-        return self.sample_visible(h @ m.W.T + m.b_v, u, z)
+    step = layered_step
 
 
 PRESET_CONFIGS = _presets()

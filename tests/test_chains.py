@@ -7,9 +7,9 @@ import pytest
 
 from gibbsmatch import chains
 from gibbsmatch.chains import (BernoulliKernel, IdealKernel, StackKernel, run_chain, run_chains,
-                               stack, stackable)
+                               stack)
 from gibbsmatch.neuro import PRESET_CONFIGS, AnalogConfig, AnalogKernel, DigitalKernel
-from gibbsmatch.rbm import ChainSettings, random_model
+from gibbsmatch.rbm import ChainSettings, RbmModel, random_model
 from gibbsmatch.rng import derive_rng
 
 
@@ -151,14 +151,27 @@ def every_sampler_kind(model):
                AnalogKernel(model, AnalogConfig(noise_density=2))])
 
 
+def dyadic_model(n_visible, n_hidden, sigma, seed):
+    """Weights and biases rounded to multiples of 2^-8, of magnitude well
+    below 2^8: every sum of their products with 0/1 states is exact in
+    float64, whatever width, kernel or summation order the BLAS uses."""
+    rng = derive_rng(seed, 0xB1)
+
+    def grid(shape):
+        return np.round(sigma * rng.standard_normal(shape) * 256) / 256
+
+    return RbmModel(W=grid((n_visible, n_hidden)), b_v=grid(n_visible), b_h=grid(n_hidden))
+
+
 @pytest.mark.parametrize("target", [chains._CHUNK_TARGET_BYTES, 1])
 def test_every_stacked_chain_equals_its_own_one_chain_run(monkeypatch, target):
-    # 64x32: OpenBLAS picks its product kernel by batch width at this size, so
-    # the stack's 20-row products round unlike the 1-row products of each
-    # chain alone. 150 steps cross chunk edges. Target 1 refills every step
-    # and cuts the stack into batches of one step's largest part.
+    # 64x32 is wide enough that OpenBLAS picks its product kernel by batch
+    # width; the dyadic model makes every product exact, so the stack's
+    # 20-row products equal each chain's 1-row ones on any BLAS and thread
+    # count. 150 steps cross chunk edges. Target 1 refills every step and
+    # cuts the stack into batches of one step's largest part.
     monkeypatch.setattr(chains, "_CHUNK_TARGET_BYTES", target)
-    model = random_model(64, 32, 0.3, seed=4)
+    model = dyadic_model(64, 32, 0.3, seed=4)
     kernels = every_sampler_kind(model)
     paths = [(t, i) for i in range(len(kernels)) for t in range(2)]
     cs = ChainSettings(n_samples=10, burn_in=50, thin=10)
@@ -168,25 +181,27 @@ def test_every_stacked_chain_equals_its_own_one_chain_run(monkeypatch, target):
         np.testing.assert_array_equal(got[c], alone)
 
 
-def test_stack_merges_one_kernel_into_its_plain_self():
+def test_a_stack_of_one_part_is_its_plain_kernel():
     model = random_model(4, 2, 0.3, seed=1)
     ideal, other = IdealKernel(model), IdealKernel(model)
-    assert stack([(ideal, 3), (ideal, 2)]) is ideal
-    two = stack([(ideal, 1), (ideal, 2), (other, 4)])
+    assert stack([(ideal, 3)]) is ideal
+    two = stack([(ideal, 3), (other, 4)])
     assert isinstance(two, StackKernel)
     assert two.parts == ((ideal, 3), (other, 4))
     assert (two.n_visible, two.n_uniforms_per_step, two.n_normals_per_step) == (4, 6, 0)
 
 
-def test_only_kernels_on_one_model_stack():
+def test_only_layered_kernels_on_one_model_stack():
     model = random_model(4, 2, 0.3, seed=1)
     same_shape = random_model(4, 2, 0.3, seed=1)
-    assert stackable(IdealKernel(model), AnalogKernel(model, AnalogConfig()))
-    assert not stackable(IdealKernel(model), IdealKernel(same_shape))
-    assert not stackable(IdealKernel(model), BernoulliKernel(0.5, 4))
-    assert not stackable(BernoulliKernel(0.5, 4), BernoulliKernel(0.5, 4))
-    with pytest.raises(ValueError):
-        StackKernel([(IdealKernel(model), 1), (IdealKernel(same_shape), 1)])
+    assert isinstance(StackKernel([(IdealKernel(model), 1), (AnalogKernel(model, AnalogConfig()), 1)]),
+                      StackKernel)
+    for parts in ([(IdealKernel(model), 1), (IdealKernel(same_shape), 1)],
+                  [(IdealKernel(model), 1), (BernoulliKernel(0.5, 4), 1)],
+                  [(BernoulliKernel(0.5, 4), 1), (BernoulliKernel(0.5, 4), 1)],
+                  [(IdealKernel(model), 2)]):
+        with pytest.raises(ValueError):
+            StackKernel(parts)
     with pytest.raises(ValueError):
         run_chains(StackKernel([(IdealKernel(model), 1), (IdealKernel(model), 2)]),
                    ChainSettings(n_samples=2, burn_in=0, thin=1), 0, [(0,), (1,)])

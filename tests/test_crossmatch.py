@@ -25,8 +25,7 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 from gibbsmatch import cli, crossmatch, harness
 from gibbsmatch.crossmatch import (P_FLOOR, CrossmatchOutcome, DistanceMatrix, Matching,
                                    cross_count, crossmatch_test, greedy_matching,
-                                   log10_p_value, null_pmf, optimal_matching, p_value,
-                                   pairwise_distances)
+                                   null_pmf, optimal_matching, p_value, pairwise_distances)
 from gibbsmatch.rbm import ChainSettings, SampleBatch
 from gibbsmatch.rng import derive_rng
 from matching_oracle import milp_pairs
@@ -218,8 +217,9 @@ def log10_exact(q: Fraction) -> float:
 def test_p_value_below_the_double_floor_reads_the_floor_and_its_exact_log(n, a_obs):
     tail = exact_tail(a_obs, n)
     assert tail < P_FLOOR
-    assert p_value(a_obs, n) == P_FLOOR
-    assert log10_p_value(a_obs, n) == pytest.approx(log10_exact(tail), rel=1e-13)
+    p, log10_p = crossmatch._tail(a_obs, n)
+    assert p_value(a_obs, n) == p == P_FLOOR
+    assert log10_p == pytest.approx(log10_exact(tail), rel=1e-13)
 
 
 @pytest.mark.parametrize("n,a_obs", [(1100, 4), (1100, 6), (1100, 40)])
@@ -229,13 +229,13 @@ def test_representable_p_value_keeps_its_expression_and_has_no_log(n, a_obs):
     assert p_value(a_obs, n) == float(cdf[a_obs] / cdf[-1]) > 0
     assert p_value(a_obs, n) == pytest.approx(float(exact_tail(a_obs, n)),
                                               rel=1e-9 if a_obs > 6 else 1e-2)
-    assert log10_p_value(a_obs, n) is None
+    assert crossmatch._tail(a_obs, n)[1] is None
 
 
 def test_an_empty_tail_is_zero():
     # below the smallest cross count of n's parity, F is exactly 0, as before
     assert p_value(0, 1) == p_value(0, 1081) == 0.0
-    assert log10_p_value(0, 1081) is None
+    assert crossmatch._tail(0, 1081)[1] is None
 
 
 @given(st.integers(min_value=1, max_value=80))

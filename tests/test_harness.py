@@ -373,23 +373,6 @@ def test_a_sweep_runs_one_chain_batch_per_trial_block(monkeypatch, sweep):
                      for trials in blocks]
 
 
-def test_two_samplers_on_one_model_run_as_one_chain_batch(monkeypatch):
-    """A block's sides share a chain batch when their samplers share a model
-    and a schedule; the p-values equal those of each side run alone."""
-    model = random_model(6, 3, 0.4, seed=300)
-    plan = TrialPlan(sampler_a=SamplerSpec(IdealKernel(model), QUICK),
-                     sampler_b=SamplerSpec(DigitalKernel(model, sweep_cfg(), 1234), QUICK),
-                     num_trials=5, base_seed=1234)
-    calls = spy_chain_calls(monkeypatch)
-    stats = run_trials(plan)
-    assert calls == [[(t, 0) for t in range(5)] + [(t, 1) for t in range(5)]]
-    xs, ys = (run_chains(spec.kernel, QUICK, plan.base_seed, [(t, side) for t in range(5)])
-              for side, spec in enumerate((plan.sampler_a, plan.sampler_b)))
-    assert list(stats.p_values) == [
-        crossmatch_test(x, y, tie_seed=tie_seed_for_trial(plan.base_seed, t)).p_value
-        for t, x, y in zip(range(5), xs, ys)]
-
-
 def test_tie_seed_is_stable():
     assert tie_seed_for_trial(1234, 0) == tie_seed_for_trial(1234, 0)
     assert tie_seed_for_trial(1234, 0) != tie_seed_for_trial(1234, 1)
