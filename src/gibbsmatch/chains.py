@@ -32,7 +32,7 @@ from scipy.special import expit
 from .rbm import ChainSettings, RbmModel, SampleBatch
 from .rng import derive_rng
 
-__all__ = ["GibbsKernel", "IdealKernel", "BernoulliKernel", "StackKernel", "stack", "layered_step",
+__all__ = ["GibbsKernel", "IdealKernel", "BernoulliKernel", "StackKernel", "layered_step",
            "run_chains", "run_chain"]
 
 # Sub-stream tags appended to a chain's path.
@@ -146,12 +146,6 @@ class StackKernel:
     step = layered_step
 
 
-def stack(parts) -> GibbsKernel:
-    """One kernel for the rows of (kernel, n_chains) parts, in order. A single
-    part is its plain kernel, so a batch of one sampler runs as it does alone."""
-    return parts[0][0] if len(parts) == 1 else StackKernel(parts)
-
-
 def _initial_states(n_visible: int, seed: int, paths: Sequence[tuple]) -> np.ndarray:
     """Fair-coin visible bits from each chain's init stream (ChainSettings.init)."""
     v = np.empty((len(paths), n_visible), dtype=np.float64)
@@ -217,16 +211,17 @@ def run_chains(kernel: GibbsKernel, settings: ChainSettings, seed: int,
     start = 0
     for batch in batches:
         rows = slice(start, start + sum(n for _, n in batch))
-        _run_batch(kernel if len(batches) == 1 else stack(batch), batch, settings, seed,
-                   paths[rows], budget, out[rows])
+        _run_batch(batch, settings, seed, paths[rows], budget, out[rows])
         start = rows.stop
     return out
 
 
-def _run_batch(kernel: GibbsKernel, parts, settings: ChainSettings, seed: int,
-               paths: Sequence[tuple], budget: int, out: np.ndarray) -> None:
-    """run_chains on one batch of parts, recording into out."""
-    stacked = isinstance(kernel, StackKernel)
+def _run_batch(parts, settings: ChainSettings, seed: int, paths: Sequence[tuple],
+               budget: int, out: np.ndarray) -> None:
+    """run_chains on one batch of (kernel, n_chains) parts, recording into out.
+    A batch of one part runs its plain kernel, as that kernel runs alone."""
+    stacked = len(parts) > 1
+    kernel = StackKernel(parts) if stacked else parts[0][0]
     v = _initial_states(kernel.n_visible, seed, paths)
     total = settings.total_steps
     chunk = _chunk_steps(sum(_step_bytes(k, n) for k, n in parts), budget, total)

@@ -47,7 +47,7 @@ class ConfigError(ValueError):
 
 
 # The type each config field must hold, named as the error message names it.
-_INT, _REAL, _STR, _BOOL = "an integer", "a number", "a string", "true or false"
+_INT, _REAL, _STR, _BOOL = "an integer", "a finite number", "a string", "true or false"
 _LIST, _INTS = "a list", "a list of integers"
 
 
@@ -57,7 +57,8 @@ def _is_int(value) -> bool:
 
 _IS_TYPE = {
     _INT: _is_int,
-    _REAL: lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    # json reads NaN, Infinity and -Infinity as floats, and any integer as an int
+    _REAL: lambda v: (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max,
     _STR: lambda v: isinstance(v, str),
     _BOOL: lambda v: isinstance(v, bool),
     _LIST: lambda v: isinstance(v, list),

@@ -1,10 +1,13 @@
 """Crossmatch two-sample test on binary sample batches.
 
 Pools the two groups, builds the Hamming distance matrix, finds a
-minimum-weight perfect matching, and counts cross-group pairs. Under the
-null that both groups share one distribution, the cross count A of a
-minimum-weight matching has a known closed-form distribution; small A is
-evidence the groups differ, and the p-value is the lower tail F(a_obs).
+minimum-weight perfect matching, and counts cross-group pairs. When the
+pooled rows are exchangeable under the null (i.i.d. draws are), the cross
+count A of any matching computed without the group labels has a known
+closed-form distribution (Rosenbaum 2005); small A is evidence the groups
+differ, and the p-value is the lower tail F(a_obs). Rows thinned from one
+chain per group are not exchangeable, and where the chain mixes slowly the
+p-value runs small.
 
 Binary data has heavily tied distances, so every unordered pair receives a
 seeded jitter drawn from U(0, 0.4/n). Any perfect matching sums exactly n
@@ -164,6 +167,8 @@ def pairwise_distances(X, Y) -> DistanceMatrix:
         raise ValueError(f"row length mismatch: {xb.shape[1]} vs {yb.shape[1]}")
     if xb.shape[0] != yb.shape[0]:
         raise ValueError(f"group size mismatch: {xb.shape[0]} vs {yb.shape[0]}")
+    if xb.shape[0] == 0:
+        raise ValueError("both groups are empty")
     if xb.shape[1] >= 2 ** 24:
         raise ValueError(f"rows of {xb.shape[1]} bits are too wide for exact float32 sums")
     z = np.vstack([xb, yb])
@@ -498,8 +503,8 @@ def p_value(a_obs: int, n: int) -> float:
 def crossmatch_test(X, Y, *, tie_seed: int = 0) -> CrossmatchOutcome:
     """Run the Crossmatch test between two equal-size binary sample batches.
 
-    The matching is always the minimum-weight one, for which the closed-form
-    null is exact.
+    The matching is always the minimum-weight one. The p-value is exact for
+    exchangeable rows, which one thinned chain per group does not give.
     """
     D = pairwise_distances(X, Y)
     m = optimal_matching(D, tie_seed)

@@ -6,14 +6,12 @@ fresh per-side chain streams from (base_seed, trial, side) and a matching
 tie-break seed from (base_seed, trial, 2), and runs the Crossmatch test.
 Trials are independent by construction: each draws the same streams
 whatever the batching, and adding trials never perturbs earlier ones.
-Trials run in blocks of _BLOCK_SIZE; when both sides share one sampler, as
-in null-check, a block's two sides run as one chain batch. A sweep runs
-every config under one base_seed, so each block of the shared reference
-side is drawn once, in the same batch as every config's side 1, and tested
-against each of them. Stacked kernels share each step's matrix products,
-so a chain's rows see the rounding of the whole batch's width (see chains):
-a sample bit can differ from the same chain run alone when its draw lands
-within a last-bit rounding of its threshold.
+Trials run in blocks of _BLOCK_SIZE; _block_samples alone lays out a
+block's chains on their (trial, side) paths. Two sides of one sampler, as
+in null-check, run as one batch of its kernel. A sweep runs every config
+under one base_seed, so each block of the shared reference side is drawn
+once, in one batch with every config's side 1, and tested against each. A
+chain's sample bits can depend on the width of its batch (see chains).
 
 Energy is a two-coefficient linear model (active neuron-ticks plus static
 core-ticks) in arbitrary units; the paper-style efficiency figure EPEff is
@@ -27,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chains import GibbsKernel, IdealKernel, run_chains, stack
+from .chains import GibbsKernel, IdealKernel, StackKernel, run_chains
 from .crossmatch import crossmatch_test
 from .neuro import DigitalKernel, DigitalSamplerConfig, ResourceEstimate, resource_estimate
 from .rbm import ChainSettings, RbmModel
@@ -140,20 +138,18 @@ def pvalue_stats(p_values) -> PValueStats:
                        ks_vs_uniform=max(d_plus, d_minus, 0.0), d_plus=max(d_plus, 0.0))
 
 
-def _side_samples(spec: SamplerSpec, base_seed: int, side: int, trials: range) -> np.ndarray:
-    return run_chains(spec.kernel, spec.settings, base_seed, [(trial, side) for trial in trials])
-
-
-def _both_sides(plan: TrialPlan, trials: range) -> tuple[np.ndarray, np.ndarray]:
-    """Side 0 and side 1 of a block of trials; one chain batch when both sides
-    share a sampler."""
-    if plan.sampler_a != plan.sampler_b:
-        return (_side_samples(plan.sampler_a, plan.base_seed, 0, trials),
-                _side_samples(plan.sampler_b, plan.base_seed, 1, trials))
-    spec = plan.sampler_a
-    both = run_chains(spec.kernel, spec.settings, plan.base_seed,
-                      [(trial, 0) for trial in trials] + [(trial, 1) for trial in trials])
-    return both[:len(trials)], both[len(trials):]
+def _block_samples(parts, settings: ChainSettings, base_seed: int,
+                   trials: range) -> list[np.ndarray]:
+    """Entry i: part i's rows, one chain per trial on path (trial, side), from one
+    run_chains call over all parts. Parts that all hold one kernel run as its
+    plain batch, any others as one StackKernel."""
+    n = len(trials)
+    kernel = parts[0][0]
+    if any(k is not kernel for k, _ in parts):
+        kernel = StackKernel([(k, n) for k, _ in parts])
+    samples = run_chains(kernel, settings, base_seed,
+                         [(trial, side) for _, side in parts for trial in trials])
+    return [samples[i * n:(i + 1) * n] for i in range(len(parts))]
 
 
 def _trial_blocks(num_trials: int) -> list[range]:
@@ -166,11 +162,11 @@ def tie_seed_for_trial(base_seed: int, trial: int) -> int:
     return int(seed_sequence(base_seed, trial, _TIE_SIDE).generate_state(1, np.uint64)[0])
 
 
-def _block_p_values(plan: TrialPlan, trials: range, xs: np.ndarray,
+def _block_p_values(base_seed: int, trials: range, xs: np.ndarray,
                     ys: np.ndarray) -> list[float]:
     """The block loop's body, shared by run_trials and the sweeps: the
     p-values of a block of trials from its side 0, xs, and side 1, ys."""
-    return [crossmatch_test(x, y, tie_seed=tie_seed_for_trial(plan.base_seed, trial)).p_value
+    return [crossmatch_test(x, y, tie_seed=tie_seed_for_trial(base_seed, trial)).p_value
             for trial, x, y in zip(trials, xs, ys)]
 
 
@@ -182,9 +178,15 @@ def run_trials(plan: TrialPlan) -> PValueStats:
     stream. The trial blocks only batch chain execution: the streams do not
     depend on the batching (see chains).
     """
+    a, b, seed = plan.sampler_a, plan.sampler_b, plan.base_seed
     p_values = []
     for trials in _trial_blocks(plan.num_trials):
-        p_values += _block_p_values(plan, trials, *_both_sides(plan, trials))
+        if a == b:
+            sides = _block_samples([(a.kernel, 0), (a.kernel, 1)], a.settings, seed, trials)
+        else:
+            sides = [_block_samples([(spec.kernel, side)], spec.settings, seed, trials)[0]
+                     for side, spec in enumerate((a, b))]
+        p_values += _block_p_values(seed, trials, *sides)
     return pvalue_stats(p_values)
 
 
@@ -208,29 +210,23 @@ def gibbs_ticks(settings: ChainSettings, window: int) -> int:
     return settings.total_steps * 2 * window
 
 
-def _sweep_reports(model: RbmModel, labeled_configs, reference: SamplerSpec,
-                   settings: ChainSettings, num_trials: int, base_seed: int,
-                   em: EnergyModel) -> list[EpeffReport]:
+def _sweep_reports(model: RbmModel, labeled_configs, reference: SamplerSpec, num_trials: int,
+                   base_seed: int, em: EnergyModel) -> list[EpeffReport]:
     """EPEff reports of each (label, digital config) judged against one reference.
 
     Every config runs under the same base_seed, so side 0 of trial i is the
-    same reference chain for all of them: each block of it is drawn once and
-    tested against every config. A block's reference chains and every
-    config's side 1 run as one chain batch.
+    same reference chain for all of them: each block of it is drawn once, in
+    one chain batch with every config's side 1, and tested against each.
     """
-    plans = [TrialPlan(sampler_a=reference,
-                       sampler_b=SamplerSpec(DigitalKernel(model, cfg, base_seed), settings),
-                       num_trials=num_trials, base_seed=base_seed)
-             for _, cfg in labeled_configs]
-    p_values = [[] for _ in plans]
+    settings = reference.settings
+    TrialPlan(reference, reference, num_trials, base_seed)  # checks the schedule and trial count
+    parts = [(reference.kernel, 0)] + [(DigitalKernel(model, cfg, base_seed), 1)
+                                       for _, cfg in labeled_configs]
+    p_values = [[] for _ in labeled_configs]
     for trials in _trial_blocks(num_trials):
-        n = len(trials)
-        kernel = stack([(reference.kernel, n)] + [(plan.sampler_b.kernel, n) for plan in plans])
-        samples = run_chains(kernel, settings, base_seed,
-                             [(trial, 0) for trial in trials]
-                             + [(trial, 1) for trial in trials] * len(plans))
-        for i, (plan, ps) in enumerate(zip(plans, p_values), 1):
-            ps += _block_p_values(plan, trials, samples[:n], samples[i * n:(i + 1) * n])
+        xs, *yss = _block_samples(parts, settings, base_seed, trials)
+        for ps, ys in zip(p_values, yss):
+            ps += _block_p_values(base_seed, trials, xs, ys)
     reports = []
     for (label, cfg), ps in zip(labeled_configs, p_values):
         mean_p = pvalue_stats(ps).mean_p
@@ -253,7 +249,7 @@ def parameter_sweep(model: RbmModel, labeled_configs, settings: ChainSettings,
     if not labeled_configs:
         raise ValueError("no sampler configs to sweep")
     reports = _sweep_reports(model, labeled_configs, SamplerSpec(IdealKernel(model), settings),
-                             settings, num_trials, base_seed, energy_model)
+                             num_trials, base_seed, energy_model)
     return sorted(reports, key=lambda r: r.epeff, reverse=True)
 
 
@@ -271,4 +267,4 @@ def leak_density_sweep(model: RbmModel, cfg: DigitalSamplerConfig, densities,
     reference = SamplerSpec(DigitalKernel(model, replace(cfg, leak_density=1), base_seed),
                             settings)
     return _sweep_reports(model, [(f"ld={d}", replace(cfg, leak_density=d)) for d in densities],
-                          reference, settings, num_trials, base_seed, energy_model)
+                          reference, num_trials, base_seed, energy_model)

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from gibbsmatch import chains
-from gibbsmatch.chains import (BernoulliKernel, IdealKernel, StackKernel, run_chain, run_chains,
-                               stack)
+from gibbsmatch.chains import BernoulliKernel, IdealKernel, StackKernel, run_chain, run_chains
 from gibbsmatch.neuro import PRESET_CONFIGS, AnalogConfig, AnalogKernel, DigitalKernel
 from gibbsmatch.rbm import ChainSettings, RbmModel, random_model
 from gibbsmatch.rng import derive_rng
@@ -175,20 +174,27 @@ def test_every_stacked_chain_equals_its_own_one_chain_run(monkeypatch, target):
     kernels = every_sampler_kind(model)
     paths = [(t, i) for i in range(len(kernels)) for t in range(2)]
     cs = ChainSettings(n_samples=10, burn_in=50, thin=10)
-    got = run_chains(stack([(k, 2) for k in kernels]), cs, 9, paths)
+    got = run_chains(StackKernel([(k, 2) for k in kernels]), cs, 9, paths)
     for c, path in enumerate(paths):
         alone = run_chains(kernels[c // 2], cs, 9, [path])[0]
         np.testing.assert_array_equal(got[c], alone)
 
 
-def test_a_stack_of_one_part_is_its_plain_kernel():
+def test_a_stack_of_one_part_is_its_plain_kernel(monkeypatch):
     model = random_model(4, 2, 0.3, seed=1)
     ideal, other = IdealKernel(model), IdealKernel(model)
-    assert stack([(ideal, 3)]) is ideal
-    two = stack([(ideal, 3), (other, 4)])
-    assert isinstance(two, StackKernel)
+    two = StackKernel([(ideal, 3), (other, 4)])
     assert two.parts == ((ideal, 3), (other, 4))
     assert (two.n_visible, two.n_uniforms_per_step, two.n_normals_per_step) == (4, 6, 0)
+    # target 1 cuts the stack into batches of one part, and each batch steps
+    # the part's plain kernel, never a stack
+    monkeypatch.setattr(chains, "_CHUNK_TARGET_BYTES", 1)
+    monkeypatch.setattr(StackKernel, "step", lambda *args: pytest.fail("stepped a stack"))
+    cs = ChainSettings(n_samples=3, burn_in=2, thin=2)
+    paths = [(c,) for c in range(7)]
+    got = run_chains(two, cs, 5, paths)
+    np.testing.assert_array_equal(got[:3], run_chains(ideal, cs, 5, paths[:3]))
+    np.testing.assert_array_equal(got[3:], run_chains(other, cs, 5, paths[3:]))
 
 
 def test_only_layered_kernels_on_one_model_stack():

@@ -282,6 +282,12 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "bogus" in err[-1]["message"]
 
 
+G4 = {"window": 8, "threshold": 79, "threshold_bits": 9, "leak": 49, "scale": 50}
+
+
+FEW_TRIALS = {"num_trials": 2, "n_per_trial": 4}  # a short run if a bad value gets through
+
+
 @pytest.mark.parametrize("command, sections, field", [
     ("null-check", {"chain": {"burn_in": "10"}}, "chain.burn_in"),
     ("sweep-leak", {"chain": {"burn_in": "10"}}, "chain.burn_in"),
@@ -302,6 +308,18 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     pytest.param("null-check", {"trials": {"matching": "greedy"}},
                  "unknown key(s) ['matching'] in trials",
                  id="null-check-sections11-trials.matching"),
+    # json reads NaN, Infinity and -Infinity as floats; none, nor an integer
+    # beyond the largest double, is a finite number
+    ("sample", {"sampler_a": {"kind": "digital", **G4, "scale": float("inf")},
+                "trials": FEW_TRIALS}, "sampler_a.scale"),
+    ("sweep-params", {"energy": {"e_active": float("inf")}, "trials": FEW_TRIALS,
+                      "sweep": {"configs": [{"label": "a", **G4}]}}, "energy.e_active"),
+    ("null-check", {"sampler_a": {"kind": "analog", "noise_sigma": float("nan")},
+                    "trials": FEW_TRIALS}, "sampler_a.noise_sigma"),
+    ("null-check", {"model": {"kind": "random", "n_visible": 16, "n_hidden": 8,
+                              "sigma": float("-inf")}, "trials": FEW_TRIALS}, "model.sigma"),
+    ("null-check", {"model": {"kind": "random", "n_visible": 16, "n_hidden": 8,
+                              "sigma": 10 ** 400}, "trials": FEW_TRIALS}, "model.sigma"),
 ])
 def test_wrong_typed_config_value_exits_2(tmp_path, capsys, command, sections, field):
     path = tmp_path / "bad.json"
@@ -311,9 +329,6 @@ def test_wrong_typed_config_value_exits_2(tmp_path, capsys, command, sections, f
     err = stderr_events(capsys)[-1]
     assert err["error"] == "ConfigError"
     assert err["message"].startswith(field)
-
-
-G4 = {"window": 8, "threshold": 79, "threshold_bits": 9, "leak": 49, "scale": 50}
 
 
 def without(section, key):

@@ -98,6 +98,8 @@ def test_pairwise_distances_input_checks():
         pairwise_distances(np.full((2, 4), 2), np.zeros((2, 4)))
     with pytest.raises(ValueError):
         pairwise_distances(np.zeros(4), np.zeros(4))
+    with pytest.raises(ValueError, match="empty"):
+        pairwise_distances(np.zeros((0, 4)), np.zeros((0, 4)))
 
 
 @pytest.mark.parametrize("value", [0.5, 1.2, 256, float("nan")])

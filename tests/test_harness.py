@@ -104,9 +104,10 @@ def test_null_check_block_is_one_chain_batch_with_the_two_batch_p_values(tmp_pat
     """null-check draws both sides of a block in one chain batch. On the desk
     model (the CLI's default 16x8) its p-values equal those of each side
     drawn as a batch of its own."""
-    batches, p_values = [], []
+    kernels, batches, p_values = [], [], []
 
     def spy_chains(kernel, settings, seed, paths):
+        kernels.append(kernel)
         batches.append(list(paths))
         return run_chains(kernel, settings, seed, paths)
 
@@ -121,12 +122,32 @@ def test_null_check_block_is_one_chain_batch_with_the_two_batch_p_values(tmp_pat
     assert cli.main(["null-check", "--seed", str(seed), "--trials", str(num_trials),
                      "--out", str(tmp_path)]) == 0
     assert batches == [[(t, 0) for t in range(num_trials)] + [(t, 1) for t in range(num_trials)]]
+    # the plain kernel's batch: a stack of two copies of one kernel gives the
+    # same bits at a higher cost per step
+    assert [type(k) for k in kernels] == [IdealKernel]
     kernel = IdealKernel(random_model(16, 8, 0.4, seed))
     settings = ChainSettings(n_samples=50, burn_in=1000, thin=10)
     xs, ys = (run_chains(kernel, settings, seed, [(t, side) for t in range(num_trials)])
               for side in (0, 1))
     assert p_values == [crossmatch_test(x, y, tie_seed=tie_seed_for_trial(seed, t)).p_value
                         for t, x, y in zip(range(num_trials), xs, ys)]
+
+
+def test_a_plan_of_two_samplers_draws_each_side_in_a_plain_call_of_its_own(monkeypatch):
+    model = random_model(6, 3, 0.4, seed=300)
+    ideal, digital = IdealKernel(model), DigitalKernel(model, sweep_cfg(), 1234)
+    calls = []
+
+    def spy(kernel, settings, seed, paths):
+        calls.append((kernel, list(paths)))
+        return run_chains(kernel, settings, seed, paths)
+
+    monkeypatch.setattr(harness, "run_chains", spy)
+    run_trials(quick_plan(num_trials=66, sampler_a=SamplerSpec(ideal, QUICK),
+                          sampler_b=SamplerSpec(digital, QUICK)))
+    assert calls == [(kernel, [(t, side) for t in trials])
+                     for trials in (range(0, 64), range(64, 66))
+                     for side, kernel in enumerate((ideal, digital))]
 
 
 def test_extending_trials_keeps_prefix():
