@@ -12,14 +12,15 @@ declare how many uniforms/normals one full Gibbs step consumes per chain;
 the engine pre-draws them in chunks (chunking does not move any stream,
 numpy generators fill arrays sequentially).
 
-Kernels on one model split their step into a hidden and a visible layer
-update, so a StackKernel can run several of them as one batch: each step
-computes v @ W + b_h and h @ W.T + b_v once for the rows of every part, and
-each part updates its own rows from its own draws. A part's rows therefore
-see the matrix products of the whole stack's width, and the rounding caveat
-above holds across the stacked kernels too. A stack's draw buffers hold no
-more than its largest part's would alone; where one step of every part is
-more than that, run_chains steps the parts in consecutive batches.
+Kernels on one model split their step into two calls of one layer update,
+sample_layer(layer, net, u, z) with layer 0 hidden and 1 visible, so a
+StackKernel can run several of them as one batch: each step computes
+v @ W + b_h and h @ W.T + b_v once for the rows of every part, and each part
+updates its own rows from its own draws. A part's rows therefore see the
+matrix products of the whole stack's width, and the rounding caveat above
+holds across the stacked kernels too. A stack's draw buffers hold no more
+than its largest part's would alone; where one step of every part is more
+than that, run_chains steps the parts in consecutive batches.
 """
 
 from __future__ import annotations
@@ -53,12 +54,12 @@ class GibbsKernel(Protocol):
 
 
 def layered_step(kernel, v, u, z):
-    """One full Gibbs step of a kernel that splits it into layer updates:
-    kernel.sample_hidden(v @ W + b_h), then kernel.sample_visible(h @ W.T + b_v).
-    Such kernels take it as their step method."""
+    """One full Gibbs step of a kernel that splits it into layer updates: hidden
+    h = kernel.sample_layer(0, v @ W + b_h, u, z), then visible sample_layer(1,
+    h @ W.T + b_v, u, z). Such kernels take it as their step method."""
     m = kernel.model
-    h = kernel.sample_hidden(v @ m.W + m.b_h, u, z)
-    return kernel.sample_visible(h @ m.W.T + m.b_v, u, z)
+    h = kernel.sample_layer(0, v @ m.W + m.b_h, u, z)
+    return kernel.sample_layer(1, h @ m.W.T + m.b_v, u, z)
 
 
 class IdealKernel:
@@ -72,11 +73,9 @@ class IdealKernel:
         self.n_uniforms_per_step = model.n_hidden + model.n_visible
         self.n_normals_per_step = 0
 
-    def sample_hidden(self, net, u, z):
-        return (u[:, :self.model.n_hidden] < expit(net)).astype(np.float64)
-
-    def sample_visible(self, net, u, z):
-        return (u[:, self.model.n_hidden:] < expit(net)).astype(np.float64)
+    def sample_layer(self, layer, net, u, z):
+        start = layer * self.model.n_hidden  # the hidden layer's uniforms, then the visible's
+        return (u[:, start:start + net.shape[1]] < expit(net)).astype(np.float64)
 
     step = layered_step
 
@@ -112,17 +111,18 @@ class StackKernel:
     """Several kernels on one model, stepped as one batch.
 
     parts holds (kernel, n_chains) pairs; each part owns the next n_chains
-    rows of the state. step takes u and z as sequences with one entry per
-    part: that part's rows of draws, or None. The per-step draw counts are
-    averages over the stack's chains, so 8 * n_chains * (n_uniforms_per_step
-    + n_normals_per_step) is the bytes of draws of one step of the stack.
+    rows of the state. step and sample_layer(layer, net, u, z) take u and z
+    as sequences with one entry per part: that part's rows of draws, or None.
+    The per-step draw counts are averages over the stack's chains, so
+    8 * n_chains * (n_uniforms_per_step + n_normals_per_step) is the bytes of
+    draws of one step of the stack.
     """
 
     def __init__(self, parts):
         parts = tuple(parts)
         model = getattr(parts[0][0], "model", None)
         if len(parts) < 2 or model is None or not all(
-                getattr(k, "model", None) is model and hasattr(k, "sample_hidden")
+                getattr(k, "model", None) is model and hasattr(k, "sample_layer")
                 for k, _ in parts):
             raise ValueError("a stack needs two or more layered kernels on one model")
         self.parts = parts
@@ -133,15 +133,11 @@ class StackKernel:
         self.n_uniforms_per_step = sum(k.n_uniforms_per_step * n for k, n in parts) / n_chains
         self.n_normals_per_step = sum(k.n_normals_per_step * n for k, n in parts) / n_chains
         ends = np.cumsum([n for _, n in parts])
-        self._layers = [(kernel, slice(end - n, end)) for (kernel, n), end in zip(parts, ends)]
+        self._rows = [(kernel, slice(end - n, end)) for (kernel, n), end in zip(parts, ends)]
 
-    def sample_hidden(self, net, u, z):
-        return np.concatenate([k.sample_hidden(net[rows], ur, zr)
-                               for (k, rows), ur, zr in zip(self._layers, u, z)])
-
-    def sample_visible(self, net, u, z):
-        return np.concatenate([k.sample_visible(net[rows], ur, zr)
-                               for (k, rows), ur, zr in zip(self._layers, u, z)])
+    def sample_layer(self, layer, net, u, z):
+        return np.concatenate([k.sample_layer(layer, net[rows], ur, zr)
+                               for (k, rows), ur, zr in zip(self._rows, u, z)])
 
     step = layered_step
 

@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .chains import BernoulliKernel, IdealKernel, run_chain
+from .crossmatch import crossmatch_test
 from .formats import (load_idx_images, load_model, load_samples, save_model,
                       save_samples, synth_dataset)
 from .harness import (HISTOGRAM_EDGES, EnergyModel, SamplerSpec, TrialPlan,
@@ -126,11 +127,11 @@ def _default_config() -> dict:
         "model": {"kind": "random", "n_visible": 16, "n_hidden": 8, "sigma": 0.4},
         "data": {"kind": "synth", "dataset": "two-cluster", "r": 16, "count": 512,
                  "noise": 0.1},
-        "chain": {"burn_in": 1000, "thin": 10},
+        "chain": {key: getattr(ChainSettings, key) for key in _CHAIN_KEYS},
         "sampler_a": {"kind": "ideal"},
         "sampler_b": {"kind": "ideal"},
         "trials": {"num_trials": 2000, "n_per_trial": 50},
-        "energy": {"e_active": 1.0, "e_core_static": 10.0, "core_size": 256},
+        "energy": {key: getattr(EnergyModel, key) for key in _ENERGY_KEYS},
         "sweep": {},
         "out_dir": ".",
     }
@@ -305,7 +306,6 @@ def cmd_sample(args) -> int:
 
 
 def cmd_test(args) -> int:
-    from .crossmatch import crossmatch_test
     x = load_samples(args.samples_a)
     y = load_samples(args.samples_b)
     outcome = crossmatch_test(x, y, tie_seed=args.seed)

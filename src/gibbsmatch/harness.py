@@ -119,7 +119,7 @@ class EpeffReport:
     resources: ResourceEstimate
 
     def __post_init__(self):
-        if abs(self.epeff * self.energy - self.mean_p) > 1e-12:
+        if not abs(self.epeff * self.energy - self.mean_p) <= 1e-12:  # NaN fails too
             raise ValueError("epeff must equal mean_p / energy")
 
 
@@ -194,8 +194,13 @@ def energy_estimate(resources: ResourceEstimate, ticks: int, em: EnergyModel) ->
     """Active plus static energy for a deployment held busy for `ticks` ticks."""
     if ticks < 1:
         raise ValueError(f"ticks must be >= 1, got {ticks}")
-    return (resources.total_neurons * ticks * em.e_active
-            + resources.cores * ticks * em.e_core_static)
+    # in floats, so that an integer coefficient overflows to inf as a real one does
+    energy = (float(resources.total_neurons * ticks) * em.e_active
+              + float(resources.cores * ticks) * em.e_core_static)
+    if not np.isfinite(energy):
+        raise ValueError(f"energy estimate overflows a double: {ticks} ticks of "
+                         f"{resources.total_neurons} neurons on {resources.cores} cores")
+    return energy
 
 
 def epeff(mean_p: float, energy: float) -> float:

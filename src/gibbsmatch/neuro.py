@@ -200,6 +200,13 @@ def _consecutive_groups(n_units: int, density: int, perm: np.ndarray | None) -> 
     return group_of_unit
 
 
+def _group_map(n_units: int, density: int, perm: np.ndarray | None) -> np.ndarray | None:
+    """A layer's group map: None (no gather) at density 1 with no permutation."""
+    if density == 1 and perm is None:
+        return None
+    return _consecutive_groups(n_units, density, perm)
+
+
 def _window_spikes(v0: np.ndarray, cfg: DigitalSamplerConfig, u_leak: np.ndarray,
                    u_thresh: np.ndarray, group_of_unit: np.ndarray | None) -> np.ndarray:
     """Spike indicator per unit over one sampling window.
@@ -260,38 +267,29 @@ class DigitalKernel:
         self.cfg = cfg
         self.label = cfg.label()
         self.n_visible = model.n_visible
-        nh, nv, w = model.n_hidden, model.n_visible, cfg.window
-        hidden_perm = visible_perm = None
-        if cfg.random_groups:
-            hidden_perm = derive_rng(seed, 0xD0, 0).permutation(nh)
-            visible_perm = derive_rng(seed, 0xD0, 1).permutation(nv)
-        # At leak density 1 in index order every unit has its own leak coin:
-        # no gather. With random groups the map is a permutation, so it stays.
-        own_coins = cfg.leak_density == 1 and not cfg.random_groups
-        self._g_h = None if own_coins else _consecutive_groups(nh, cfg.leak_density, hidden_perm)
-        self._g_v = None if own_coins else _consecutive_groups(nv, cfg.leak_density, visible_perm)
-        self._ng_h = -(-nh // cfg.leak_density)
-        self._ng_v = -(-nv // cfg.leak_density)
-        # Per-step uniform layout: leak_h, thresh_h, leak_v, thresh_v.
-        self._cuts = np.cumsum([w * self._ng_h, w * nh, w * self._ng_v, w * nv])
-        self.n_uniforms_per_step = int(self._cuts[-1])
+        w = cfg.window
+        # Per layer (hidden, visible): leak group map and count, and the slices
+        # of its leak and threshold uniforms. Per-step uniform layout: leak_h,
+        # thresh_h, leak_v, thresh_v.
+        self._layers = []
+        start = 0
+        for layer, n in enumerate((model.n_hidden, model.n_visible)):
+            perm = derive_rng(seed, 0xD0, layer).permutation(n) if cfg.random_groups else None
+            n_groups = -(-n // cfg.leak_density)
+            leak = slice(start, start + w * n_groups)
+            thresh = slice(leak.stop, leak.stop + w * n)
+            self._layers.append((_group_map(n, cfg.leak_density, perm), n_groups, leak, thresh))
+            start = thresh.stop
+        self.n_uniforms_per_step = start
         self.n_normals_per_step = 0
 
-    def _update_layer(self, net, u_leak_flat, u_thresh_flat, group_of_unit, n_groups):
-        w = self.cfg.window
-        m = net.shape[-1]
-        u_leak = u_leak_flat.reshape(net.shape[0], w, n_groups)
-        u_thresh = u_thresh_flat.reshape(net.shape[0], w, m)
+    def sample_layer(self, layer, net, u, z):
+        group_of_unit, n_groups, leak, thresh = self._layers[layer]
+        rows, w = net.shape[0], self.cfg.window
+        u_leak = u[:, leak].reshape(rows, w, n_groups)
+        u_thresh = u[:, thresh].reshape(rows, w, net.shape[1])
         spikes = _window_spikes(self.cfg.scale * net, self.cfg, u_leak, u_thresh, group_of_unit)
         return spikes.astype(np.float64)
-
-    def sample_hidden(self, net, u, z):
-        c = self._cuts
-        return self._update_layer(net, u[:, :c[0]], u[:, c[0]:c[1]], self._g_h, self._ng_h)
-
-    def sample_visible(self, net, u, z):
-        c = self._cuts
-        return self._update_layer(net, u[:, c[1]:c[2]], u[:, c[2]:c[3]], self._g_v, self._ng_v)
 
     step = layered_step
 
@@ -332,25 +330,23 @@ class AnalogKernel:
         self.cfg = cfg
         self.label = cfg.label()
         self.n_visible = model.n_visible
-        nd, nh, nv = cfg.noise_density, model.n_hidden, model.n_visible
-        # At noise density 1 every unit has its own noise source: no gather.
-        self._g_h = _consecutive_groups(nh, nd, None) if nd > 1 else None
-        self._g_v = _consecutive_groups(nv, nd, None) if nd > 1 else None
-        self._ng_h = -(-nh // nd)
-        self._ng_v = -(-nv // nd)
+        nd, w = cfg.noise_density, cfg.window
+        # Per layer (hidden, visible): noise group map and count, and the slice
+        # of its normals. Per-step normal layout: hidden noise then visible noise.
+        self._layers = []
+        start = 0
+        for n in (model.n_hidden, model.n_visible):
+            n_groups = -(-n // nd)
+            self._layers.append((_group_map(n, nd, None), n_groups,
+                                 slice(start, start + w * n_groups)))
+            start += w * n_groups
         self.n_uniforms_per_step = 0
-        # Per-step normal layout: hidden noise then visible noise.
-        self.n_normals_per_step = cfg.window * (self._ng_h + self._ng_v)
+        self.n_normals_per_step = start
 
-    def sample_hidden(self, net, u, z):
-        w = self.cfg.window
-        z_h = z[:, :w * self._ng_h].reshape(-1, w, self._ng_h)
-        return _lif_window(net, self.cfg, z_h, self._g_h).astype(np.float64)
-
-    def sample_visible(self, net, u, z):
-        w = self.cfg.window
-        z_v = z[:, w * self._ng_h:].reshape(-1, w, self._ng_v)
-        return _lif_window(net, self.cfg, z_v, self._g_v).astype(np.float64)
+    def sample_layer(self, layer, net, u, z):
+        group_of_unit, n_groups, noise = self._layers[layer]
+        z_layer = z[:, noise].reshape(net.shape[0], self.cfg.window, n_groups)
+        return _lif_window(net, self.cfg, z_layer, group_of_unit).astype(np.float64)
 
     step = layered_step
 

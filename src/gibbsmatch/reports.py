@@ -9,6 +9,7 @@ category axis.
 
 from __future__ import annotations
 
+import json
 from typing import Sequence
 
 from .crossmatch import CrossmatchOutcome
@@ -47,7 +48,6 @@ def histogram_csv(stats: PValueStats, edges) -> str:
 
 def outcome_json(outcome: CrossmatchOutcome) -> str:
     """The outcome's fields; log10_p only when the p-value underflowed."""
-    import json
     doc = {"n": outcome.n, "a_obs": outcome.a_obs,
            "p_value": outcome.p_value, "method": outcome.method}
     if outcome.log10_p is not None:
@@ -56,7 +56,6 @@ def outcome_json(outcome: CrossmatchOutcome) -> str:
 
 
 def stats_json(stats: PValueStats, extra: dict | None = None) -> str:
-    import json
     doc = {"num_trials": int(stats.p_values.size), "mean_p": stats.mean_p,
            "ks_vs_uniform": stats.ks_vs_uniform, "d_plus": stats.d_plus}
     if extra:

@@ -531,6 +531,19 @@ def test_sample_metadata_missing_key_exits_2(tmp_path, capsys, key):
     assert key in format_error_message(capsys, ["test", bad, bad, "--seed", "0"])
 
 
+@pytest.mark.parametrize("e_active", [1e308, 10 ** 308], ids=["real", "integer"])
+@pytest.mark.parametrize("command", ["sweep-params", "sweep-leak"])
+def test_energy_overflow_exits_2(tmp_path, capsys, command, e_active):
+    # finite coefficients, real or integer, whose product passes the largest double
+    cfg = write_cfg(tmp_path, energy={"e_active": e_active}, trials=FEW_TRIALS,
+                    sweep={"densities": [1, 4]})
+    out = tmp_path / "o"
+    assert main([command, "--seed", "1", "--config", cfg, "--out", str(out)]) == 2
+    err = stderr_events(capsys)[-1]
+    assert err["error"] == "ValueError" and "overflows" in err["message"]
+    assert not list(out.glob("*.csv"))
+
+
 def test_memory_error_exits_2(tmp_path, capsys, monkeypatch):
     good = dump_with(tmp_path, "GMSAMP1 2 4")
 

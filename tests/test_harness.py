@@ -232,6 +232,11 @@ def test_energy_estimate_rejects_zero_ticks():
         energy_estimate(resource_estimate(4, 1), 0, EnergyModel())
 
 
+def test_energy_estimate_rejects_an_overflow():
+    with pytest.raises(ValueError, match="overflows"):
+        energy_estimate(resource_estimate(4, 1), 10, EnergyModel(e_active=1e308))
+
+
 def test_energy_model_validation():
     with pytest.raises(ValueError):
         EnergyModel(e_active=0)
@@ -253,6 +258,13 @@ def test_epeff_report_consistency_enforced():
     EpeffReport(label="x", mean_p=0.5, energy=10.0, epeff=0.05, resources=r)
     with pytest.raises(ValueError):
         EpeffReport(label="x", mean_p=0.5, energy=10.0, epeff=0.5, resources=r)
+
+
+def test_epeff_report_rejects_an_infinite_energy():
+    # 0.0 * inf is NaN, which no tolerance comparison may let through
+    with pytest.raises(ValueError):
+        EpeffReport(label="x", mean_p=0.5, energy=float("inf"), epeff=0.0,
+                    resources=resource_estimate(4, 1))
 
 
 def test_gibbs_ticks_formula():
