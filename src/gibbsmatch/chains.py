@@ -123,8 +123,9 @@ class StackKernel:
         model = getattr(parts[0][0], "model", None)
         if len(parts) < 2 or model is None or not all(
                 getattr(k, "model", None) is model and hasattr(k, "sample_layer")
-                for k, _ in parts):
-            raise ValueError("a stack needs two or more layered kernels on one model")
+                and isinstance(n, (int, np.integer)) and n >= 1 for k, n in parts):
+            raise ValueError("a stack needs two or more layered kernels on one model, "
+                             "each running an integer n_chains >= 1")
         self.parts = parts
         self.model = model
         self.label = "+".join(kernel.label for kernel, _ in parts)

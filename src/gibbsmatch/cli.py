@@ -32,8 +32,8 @@ from .chains import BernoulliKernel, IdealKernel, run_chain
 from .crossmatch import crossmatch_test
 from .formats import (load_idx_images, load_model, load_samples, save_model,
                       save_samples, synth_dataset)
-from .harness import (HISTOGRAM_EDGES, EnergyModel, SamplerSpec, TrialPlan,
-                      leak_density_sweep, parameter_sweep, run_trials)
+from .harness import (EnergyModel, SamplerSpec, TrialPlan, leak_density_sweep,
+                      parameter_sweep, run_trials)
 from .neuro import (PRESET_CONFIGS, AnalogConfig, AnalogKernel, DigitalKernel,
                     DigitalSamplerConfig)
 from .rbm import ChainSettings, RbmModel, TrainConfig, cd1_train, random_model
@@ -49,7 +49,7 @@ class ConfigError(ValueError):
 
 # The type each config field must hold, named as the error message names it.
 _INT, _REAL, _STR, _BOOL = "an integer", "a finite number", "a string", "true or false"
-_LIST, _INTS = "a list", "a list of integers"
+_LIST, _INTS, _ASCII = "a list", "a list of integers", "an ASCII string"
 
 
 def _is_int(value) -> bool:
@@ -61,6 +61,7 @@ _IS_TYPE = {
     # json reads NaN, Infinity and -Infinity as floats, and any integer as an int
     _REAL: lambda v: (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max,
     _STR: lambda v: isinstance(v, str),
+    _ASCII: lambda v: isinstance(v, str) and v.isascii(),
     _BOOL: lambda v: isinstance(v, bool),
     _LIST: lambda v: isinstance(v, list),
     _INTS: lambda v: isinstance(v, list) and all(_is_int(x) for x in v),
@@ -105,7 +106,7 @@ _SAMPLER_KEYS = {
 _TRIALS_KEYS = {"num_trials": _INT, "n_per_trial": _INT}
 _ENERGY_KEYS = _fields(EnergyModel)
 _SWEEP_KEYS = {"configs": _LIST, "densities": _INTS}
-_SWEEP_CONFIG_KEYS = {"label": _STR, **_fields(DigitalSamplerConfig, "random_groups")}
+_SWEEP_CONFIG_KEYS = {"label": _ASCII, **_fields(DigitalSamplerConfig, "random_groups")}
 # Fields a kinded section must set, by kind (kind names differ across sections).
 _REQUIRED = {
     "random": ("n_visible", "n_hidden", "sigma"),
@@ -380,7 +381,7 @@ def cmd_null_check(args) -> int:
     stats = run_trials(plan)
     doc = stats_json(stats, {"sampler": spec.kernel.label, "n_per_trial": n_per_trial})
     sys.stdout.write(doc)
-    _emit(out / "null_check.csv", histogram_csv(stats, HISTOGRAM_EDGES))
+    _emit(out / "null_check.csv", histogram_csv(stats))
     (out / "null_check.json").write_bytes(doc.encode("ascii"))
     return 0
 

@@ -119,8 +119,7 @@ class Matching:
 
     pairs: tuple
     total_cost: float
-    method: str
-    # Work of the exact solver; zero for greedy, and written to no output.
+    # Work of the exact solver, written to no output.
     lp_rounds: int = field(default=0, compare=False, repr=False)
     cuts: int = field(default=0, compare=False, repr=False)
     priced: int = field(default=0, compare=False, repr=False)
@@ -141,9 +140,9 @@ class CrossmatchOutcome:
     n: int
     a_obs: int
     p_value: float
-    method: str
     matching: Matching = field(repr=False, compare=False, default=None)
     log10_p: float | None = None
+    method = "optimal"  # the only matching: a class constant, not a field
 
     def __post_init__(self):
         if not 0 <= self.a_obs <= self.n:
@@ -192,10 +191,10 @@ def _jittered_weights(D: DistanceMatrix, tie_seed: int):
     return w, iu
 
 
-def _finish(D: DistanceMatrix, pairs, method: str, **counts) -> Matching:
+def _finish(D: DistanceMatrix, pairs, **counts) -> Matching:
     pairs = tuple(sorted((min(i, j), max(i, j)) for i, j in pairs))
     cost = sum(int(D.entries[i, j]) for i, j in pairs)
-    return Matching(pairs=pairs, total_cost=cost, method=method, **counts)
+    return Matching(pairs=pairs, total_cost=cost, **counts)
 
 
 def _greedy_pairs(w: np.ndarray, iu) -> list:
@@ -400,8 +399,7 @@ def optimal_matching(D: DistanceMatrix, tie_seed: int = 0) -> Matching:
         return nu.size
 
     def result(chosen) -> Matching:
-        return _finish(D, zip(lp.eu[chosen].tolist(), lp.ev[chosen].tolist()), "optimal",
-                       **counts)
+        return _finish(D, zip(lp.eu[chosen].tolist(), lp.ev[chosen].tolist()), **counts)
 
     cut_rounds = 0
     while True:
@@ -442,7 +440,7 @@ def greedy_matching(D: DistanceMatrix, tie_seed: int = 0) -> Matching:
     if D.size % 2:
         raise ValueError("matching requires an even number of points")
     w, iu = _jittered_weights(D, tie_seed)
-    return _finish(D, _greedy_pairs(w, iu), "greedy")
+    return _finish(D, _greedy_pairs(w, iu))
 
 
 def cross_count(m: Matching, n: int) -> int:
@@ -510,5 +508,4 @@ def crossmatch_test(X, Y, *, tie_seed: int = 0) -> CrossmatchOutcome:
     m = optimal_matching(D, tie_seed)
     a = cross_count(m, D.n)
     p, log10_p = _tail(a, D.n)
-    return CrossmatchOutcome(n=D.n, a_obs=a, p_value=p, method=m.method, matching=m,
-                             log10_p=log10_p)
+    return CrossmatchOutcome(n=D.n, a_obs=a, p_value=p, matching=m, log10_p=log10_p)

@@ -6,9 +6,9 @@ fresh per-side chain streams from (base_seed, trial, side) and a matching
 tie-break seed from (base_seed, trial, 2), and runs the Crossmatch test.
 Trials are independent by construction: each draws the same streams
 whatever the batching, and adding trials never perturbs earlier ones.
-Trials run in blocks of _BLOCK_SIZE; _block_samples alone lays out a
-block's chains on their (trial, side) paths. Two sides of one sampler, as
-in null-check, run as one batch of its kernel. A sweep runs every config
+Trials run in blocks of _BLOCK_SIZE; one loop, _trial_p_values, alone lays
+out a block's chains on their (trial, side) paths. Two sides of one sampler,
+as in null-check, run as one batch of its kernel. A sweep runs every config
 under one base_seed, so each block of the shared reference side is drawn
 once, in one batch with every config's side 1, and tested against each. A
 chain's sample bits can depend on the width of its batch (see chains).
@@ -138,55 +138,50 @@ def pvalue_stats(p_values) -> PValueStats:
                        ks_vs_uniform=max(d_plus, d_minus, 0.0), d_plus=max(d_plus, 0.0))
 
 
-def _block_samples(parts, settings: ChainSettings, base_seed: int,
-                   trials: range) -> list[np.ndarray]:
-    """Entry i: part i's rows, one chain per trial on path (trial, side), from one
-    run_chains call over all parts. Parts that all hold one kernel run as its
-    plain batch, any others as one StackKernel."""
-    n = len(trials)
-    kernel = parts[0][0]
-    if any(k is not kernel for k, _ in parts):
-        kernel = StackKernel([(k, n) for k, _ in parts])
-    samples = run_chains(kernel, settings, base_seed,
-                         [(trial, side) for _, side in parts for trial in trials])
-    return [samples[i * n:(i + 1) * n] for i in range(len(parts))]
-
-
-def _trial_blocks(num_trials: int) -> list[range]:
-    return [range(start, min(start + _BLOCK_SIZE, num_trials))
-            for start in range(0, num_trials, _BLOCK_SIZE)]
-
-
 def tie_seed_for_trial(base_seed: int, trial: int) -> int:
     """The matching tie-break seed used by run_trials for a given trial."""
     return int(seed_sequence(base_seed, trial, _TIE_SIDE).generate_state(1, np.uint64)[0])
 
 
-def _block_p_values(base_seed: int, trials: range, xs: np.ndarray,
-                    ys: np.ndarray) -> list[float]:
-    """The block loop's body, shared by run_trials and the sweeps: the
-    p-values of a block of trials from its side 0, xs, and side 1, ys."""
-    return [crossmatch_test(x, y, tie_seed=tie_seed_for_trial(base_seed, trial)).p_value
-            for trial, x, y in zip(trials, xs, ys)]
+def _trial_p_values(calls, num_trials: int, base_seed: int) -> list[list[float]]:
+    """The one trial loop: each side-1 part's p-values against the side-0 part.
+
+    Each call (settings, [(kernel, side), ...]) runs once per block of
+    _BLOCK_SIZE trials, on paths (trial, side), as its one kernel's plain batch
+    or as one StackKernel. Trial i's tests break ties with its tie_seed_for_trial.
+    """
+    p_values = [[] for _, parts in calls for _, side in parts if side == 1]
+    for start in range(0, num_trials, _BLOCK_SIZE):
+        trials = range(start, min(start + _BLOCK_SIZE, num_trials))
+        n, sides = len(trials), ([], [])
+        for settings, parts in calls:
+            kernel = parts[0][0]
+            if any(k is not kernel for k, _ in parts):
+                kernel = StackKernel([(k, n) for k, _ in parts])
+            samples = run_chains(kernel, settings, base_seed,
+                                 [(trial, side) for _, side in parts for trial in trials])
+            for i, (_, side) in enumerate(parts):
+                sides[side].append(samples[i * n:(i + 1) * n])
+        [xs], yss = sides
+        for ps, ys in zip(p_values, yss):
+            ps += [crossmatch_test(x, y, tie_seed=tie_seed_for_trial(base_seed, trial)).p_value
+                   for trial, x, y in zip(trials, xs, ys)]
+    return p_values
 
 
 def run_trials(plan: TrialPlan) -> PValueStats:
     """Run every trial of the plan and aggregate the Crossmatch p-values.
 
     Trial i draws side samples from streams seeded at (base_seed, i, side)
-    for side in {0, 1} and breaks matching ties with tie_seed_for_trial's
-    stream. The trial blocks only batch chain execution: the streams do not
-    depend on the batching (see chains).
+    for side in {0, 1}; the trial blocks only batch chain execution, which
+    the streams do not depend on (see chains).
     """
-    a, b, seed = plan.sampler_a, plan.sampler_b, plan.base_seed
-    p_values = []
-    for trials in _trial_blocks(plan.num_trials):
-        if a == b:
-            sides = _block_samples([(a.kernel, 0), (a.kernel, 1)], a.settings, seed, trials)
-        else:
-            sides = [_block_samples([(spec.kernel, side)], spec.settings, seed, trials)[0]
-                     for side, spec in enumerate((a, b))]
-        p_values += _block_p_values(seed, trials, *sides)
+    a, b = plan.sampler_a, plan.sampler_b
+    if a == b:
+        calls = [(a.settings, [(a.kernel, 0), (a.kernel, 1)])]
+    else:
+        calls = [(a.settings, [(a.kernel, 0)]), (b.settings, [(b.kernel, 1)])]
+    [p_values] = _trial_p_values(calls, plan.num_trials, plan.base_seed)
     return pvalue_stats(p_values)
 
 
@@ -227,11 +222,7 @@ def _sweep_reports(model: RbmModel, labeled_configs, reference: SamplerSpec, num
     TrialPlan(reference, reference, num_trials, base_seed)  # checks the schedule and trial count
     parts = [(reference.kernel, 0)] + [(DigitalKernel(model, cfg, base_seed), 1)
                                        for _, cfg in labeled_configs]
-    p_values = [[] for _ in labeled_configs]
-    for trials in _trial_blocks(num_trials):
-        xs, *yss = _block_samples(parts, settings, base_seed, trials)
-        for ps, ys in zip(p_values, yss):
-            ps += _block_p_values(base_seed, trials, xs, ys)
+    p_values = _trial_p_values([(settings, parts)], num_trials, base_seed)
     reports = []
     for (label, cfg), ps in zip(labeled_configs, p_values):
         mean_p = pvalue_stats(ps).mean_p

@@ -13,7 +13,7 @@ import json
 from typing import Sequence
 
 from .crossmatch import CrossmatchOutcome
-from .harness import EpeffReport, PValueStats
+from .harness import HISTOGRAM_EDGES, EpeffReport, PValueStats
 
 __all__ = [
     "sweep_csv",
@@ -31,18 +31,25 @@ def _num(x) -> str:
     return repr(float(x))
 
 
+def _field(text: str) -> str:
+    """text as an RFC 4180 CSV field: quoted, quotes doubled, if it holds , " or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def sweep_csv(reports: Sequence[EpeffReport]) -> str:
     lines = [",".join(SWEEP_COLUMNS)]
     for r in reports:
-        lines.append(",".join([r.label, _num(r.mean_p), _num(r.energy),
+        lines.append(",".join([_field(r.label), _num(r.mean_p), _num(r.energy),
                                _num(r.epeff), str(r.resources.cores)]))
     return "\n".join(lines) + "\n"
 
 
-def histogram_csv(stats: PValueStats, edges) -> str:
+def histogram_csv(stats: PValueStats) -> str:
     lines = ["bin_low,bin_high,count"]
-    for i, count in enumerate(stats.histogram):
-        lines.append(f"{_num(edges[i])},{_num(edges[i + 1])},{int(count)}")
+    for low, high, count in zip(HISTOGRAM_EDGES, HISTOGRAM_EDGES[1:], stats.histogram):
+        lines.append(f"{_num(low)},{_num(high)},{int(count)}")
     return "\n".join(lines) + "\n"
 
 
@@ -69,13 +76,19 @@ _W, _H = 640, 400
 _MARGIN = dict(left=70, right=20, top=40, bottom=60)
 
 
+def _text(x, y, size: int, text: str, anchor: str = "middle", more: str = "") -> str:
+    """One <text> element, its text XML-escaped by hand: importing xml.sax costs 1 MB."""
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return (f'<text x="{x}" y="{y}" font-size="{size}" text-anchor="{anchor}" '
+            f'font-family="sans-serif"{more}>{text}</text>')
+
+
 def _svg_open(title: str) -> list[str]:
     return [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W / 2:.1f}" y="24" font-size="16" text-anchor="middle" '
-        f'font-family="sans-serif">{title}</text>',
+        _text(f"{_W / 2:.1f}", 24, 16, title),
     ]
 
 
@@ -84,16 +97,13 @@ def _axes(parts: list[str], x_label: str, y_label: str, y_max: float) -> None:
     x1, y1 = _W - _MARGIN["right"], _MARGIN["top"]
     parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>')
     parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>')
-    parts.append(f'<text x="{(x0 + x1) / 2:.1f}" y="{_H - 14}" font-size="12" '
-                 f'text-anchor="middle" font-family="sans-serif">{x_label}</text>')
-    parts.append(f'<text x="18" y="{(y0 + y1) / 2:.1f}" font-size="12" text-anchor="middle" '
-                 f'font-family="sans-serif" transform="rotate(-90 18 {(y0 + y1) / 2:.1f})">'
-                 f'{y_label}</text>')
+    parts.append(_text(f"{(x0 + x1) / 2:.1f}", _H - 14, 12, x_label))
+    parts.append(_text(18, f"{(y0 + y1) / 2:.1f}", 12, y_label,
+                       more=f' transform="rotate(-90 18 {(y0 + y1) / 2:.1f})"'))
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         y = y0 - frac * (y0 - y1)
         parts.append(f'<line x1="{x0 - 4}" y1="{y:.1f}" x2="{x0}" y2="{y:.1f}" stroke="black"/>')
-        parts.append(f'<text x="{x0 - 8}" y="{y + 4:.1f}" font-size="10" text-anchor="end" '
-                     f'font-family="sans-serif">{frac * y_max:.3g}</text>')
+        parts.append(_text(x0 - 8, f"{y + 4:.1f}", 10, f"{frac * y_max:.3g}", "end"))
 
 
 def svg_bar_chart(labels: Sequence[str], values: Sequence[float], title: str,
@@ -112,8 +122,7 @@ def svg_bar_chart(labels: Sequence[str], values: Sequence[float], title: str,
         x = x0 + i * slot + 0.15 * slot
         parts.append(f'<rect x="{x:.1f}" y="{y0 - h:.1f}" width="{0.7 * slot:.1f}" '
                      f'height="{h:.1f}" fill="#4878a8"/>')
-        parts.append(f'<text x="{x0 + (i + 0.5) * slot:.1f}" y="{y0 + 16}" font-size="11" '
-                     f'text-anchor="middle" font-family="sans-serif">{label}</text>')
+        parts.append(_text(f"{x0 + (i + 0.5) * slot:.1f}", y0 + 16, 11, label))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -133,8 +142,7 @@ def svg_line_chart(x_labels: Sequence[str], series: dict, title: str,
     slot = span / len(x_labels)
     colors = ("#4878a8", "#c05a42", "#5a9a5a", "#8a6aaa")
     for i, label in enumerate(x_labels):
-        parts.append(f'<text x="{x0 + (i + 0.5) * slot:.1f}" y="{y0 + 16}" font-size="11" '
-                     f'text-anchor="middle" font-family="sans-serif">{label}</text>')
+        parts.append(_text(f"{x0 + (i + 0.5) * slot:.1f}", y0 + 16, 11, label))
     for k, (name, vals) in enumerate(series.items()):
         if len(vals) != len(x_labels):
             raise ValueError(f"series {name!r} length {len(vals)} != {len(x_labels)}")
@@ -145,8 +153,7 @@ def svg_line_chart(x_labels: Sequence[str], series: dict, title: str,
         for i, v in enumerate(vals):
             parts.append(f'<circle cx="{x0 + (i + 0.5) * slot:.1f}" '
                          f'cy="{y0 - height * (v / y_max):.1f}" r="3" fill="{color}"/>')
-        parts.append(f'<text x="{_W - _MARGIN["right"]:.1f}" y="{_MARGIN["top"] + 14 * (k + 1)}" '
-                     f'font-size="11" text-anchor="end" font-family="sans-serif" '
-                     f'fill="{color}">{name}</text>')
+        parts.append(_text(f"{_W - _MARGIN['right']:.1f}", _MARGIN["top"] + 14 * (k + 1), 11,
+                           name, "end", f' fill="{color}"'))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

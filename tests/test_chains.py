@@ -205,7 +205,12 @@ def test_only_layered_kernels_on_one_model_stack():
     for parts in ([(IdealKernel(model), 1), (IdealKernel(same_shape), 1)],
                   [(IdealKernel(model), 1), (BernoulliKernel(0.5, 4), 1)],
                   [(BernoulliKernel(0.5, 4), 1), (BernoulliKernel(0.5, 4), 1)],
-                  [(IdealKernel(model), 2)]):
+                  [(IdealKernel(model), 2)],
+                  # a part of 0 chains divided the draw budget by zero, and one
+                  # of -1 chains ran on rows that overlapped the next part's
+                  [(IdealKernel(model), 2), (AnalogKernel(model, AnalogConfig()), 0)],
+                  [(IdealKernel(model), -1), (IdealKernel(model), 3)],
+                  [(IdealKernel(model), 1.0), (IdealKernel(model), 1)]):
         with pytest.raises(ValueError):
             StackKernel(parts)
     with pytest.raises(ValueError):

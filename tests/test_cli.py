@@ -320,13 +320,16 @@ FEW_TRIALS = {"num_trials": 2, "n_per_trial": 4}  # a short run if a bad value g
                               "sigma": float("-inf")}, "trials": FEW_TRIALS}, "model.sigma"),
     ("null-check", {"model": {"kind": "random", "n_visible": 16, "n_hidden": 8,
                               "sigma": 10 ** 400}, "trials": FEW_TRIALS}, "model.sigma"),
+    # the reports are ASCII, so such a label used to fail only once the sweep had run
+    ("sweep-params", {"sweep": {"configs": [{"label": "a", **G4}, {"label": "G1-\u00e9", **G4}]},
+                      "trials": FEW_TRIALS}, "sweep.configs[1].label must be an ASCII string"),
 ])
 def test_wrong_typed_config_value_exits_2(tmp_path, capsys, command, sections, field):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(sections))
     rc = main([command, "--seed", "1", "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 2
-    err = stderr_events(capsys)[-1]
+    [err] = stderr_events(capsys)  # before the start event
     assert err["error"] == "ConfigError"
     assert err["message"].startswith(field)
 

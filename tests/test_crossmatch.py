@@ -557,10 +557,10 @@ def test_optimal_agrees_with_blossom_solver():
 
 def test_matching_validation():
     with pytest.raises(ValueError):
-        Matching(pairs=((0, 1), (1, 2)), total_cost=0, method="optimal")
+        Matching(pairs=((0, 1), (1, 2)), total_cost=0)
     with pytest.raises(ValueError):
-        Matching(pairs=((0, 2),), total_cost=0, method="greedy")
-    m = Matching(pairs=((0, 1), (2, 3)), total_cost=3, method="optimal")
+        Matching(pairs=((0, 2),), total_cost=0)
+    m = Matching(pairs=((0, 1), (2, 3)), total_cost=3)
     assert cross_count(m, 2) == 0
     with pytest.raises(ValueError):
         cross_count(m, 3)
@@ -568,9 +568,9 @@ def test_matching_validation():
 
 def test_cross_count_example():
     # pairs (0,2) and (1,3) both straddle the group boundary at n=2
-    m = Matching(pairs=((0, 2), (1, 3)), total_cost=0, method="optimal")
+    m = Matching(pairs=((0, 2), (1, 3)), total_cost=0)
     assert cross_count(m, 2) == 2
-    m = Matching(pairs=((0, 1), (2, 3)), total_cost=0, method="optimal")
+    m = Matching(pairs=((0, 1), (2, 3)), total_cost=0)
     assert cross_count(m, 2) == 0
 
 
@@ -614,18 +614,17 @@ def test_outcome_consistency():
     out = crossmatch_test(X, Y, tie_seed=5)
     assert out.p_value == p_value(out.a_obs, 9)
     assert out.a_obs == cross_count(out.matching, 9)
-    assert out.matching.method == "optimal"
 
 
 def test_outcome_validation():
     with pytest.raises(ValueError):
-        CrossmatchOutcome(n=4, a_obs=5, p_value=0.5, method="optimal")
+        CrossmatchOutcome(n=4, a_obs=5, p_value=0.5)
     with pytest.raises(ValueError):
-        CrossmatchOutcome(n=4, a_obs=3, p_value=0.5, method="optimal")  # parity
+        CrossmatchOutcome(n=4, a_obs=3, p_value=0.5)  # parity
     with pytest.raises(ValueError):
-        CrossmatchOutcome(n=4, a_obs=4, p_value=0.0, method="optimal")
+        CrossmatchOutcome(n=4, a_obs=4, p_value=0.0)
     with pytest.raises(ValueError):
-        CrossmatchOutcome(n=4, a_obs=4, p_value=1.5, method="optimal")
+        CrossmatchOutcome(n=4, a_obs=4, p_value=1.5)
 
 
 def test_row_order_does_not_bias_p_values():

@@ -1,4 +1,5 @@
-"""No private helper of the package is left without a caller.
+"""No private helper of the package is left without a caller, and README
+names none that is gone.
 
 A private name is a module-level `_name` function, class or constant, or a
 `_name` method; dunder names are left out. Anything in the package may refer
@@ -6,6 +7,7 @@ to it: a name read, an attribute access or an import alias.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -71,3 +73,24 @@ def test_the_scan_finds_a_dead_private_helper():
     assert dead_private_names({"a": a, "b": b, "c": c}) == [
         "a: _UNUSED (line 2)", "a: _dead (line 5)", "a: _never (line 12)",
         "b: _imported_here (line 2)"]
+
+
+def missing_private_names(readme: str, sources: dict) -> list[str]:
+    """Each bare backticked `_name` of readme that no source defines; dotted
+    tokens such as `scipy.optimize._highspy` are left out."""
+    defined = {name for text in sources.values() for name, _ in _definitions(ast.parse(text))}
+    named = re.findall(r"`(_\w+)`", readme)
+    return sorted(set(named) - defined)
+
+
+def test_readme_names_only_private_code_that_exists():
+    readme = (ROOT / "README.md").read_text()
+    assert missing_private_names(readme, {p.stem: p.read_text() for p in FILES}) == []
+
+
+def test_the_scan_finds_a_private_name_the_package_lacks():
+    readme = ("`_helper` and `_LIMIT` exist, `_method` too; `_gone` does not.\n"
+              "`mod._dotted`, `_helper()` and `a _bare` word are not bare tokens.\n")
+    source = ("_LIMIT = 3\ndef _helper():\n    pass\n"
+              "class K:\n    def _method(self):\n        pass\n")
+    assert missing_private_names(readme, {"a": source}) == ["_gone"]

@@ -1,12 +1,15 @@
 """CSV/JSON/SVG report rendering."""
 
+import csv
+import io
 import json
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import pytest
 
 from gibbsmatch.crossmatch import CrossmatchOutcome
-from gibbsmatch.harness import HISTOGRAM_EDGES, EpeffReport, pvalue_stats
+from gibbsmatch.harness import EpeffReport, pvalue_stats
 from gibbsmatch.neuro import resource_estimate
 from gibbsmatch.reports import (SWEEP_COLUMNS, histogram_csv, outcome_json, stats_json,
                                 svg_bar_chart, svg_line_chart, sweep_csv)
@@ -32,6 +35,21 @@ def test_sweep_csv_round_trip():
     assert SWEEP_COLUMNS == ("label", "mean_p", "energy", "epeff", "cores")
 
 
+def test_labels_that_csv_and_xml_reserve_keep_their_text():
+    awkward = ['a,b <&>', 'say "hi"', "two\nlines", "x&y"]
+    reports = [replace(sample_reports()[0], label=label) for label in awkward]
+    rows = list(csv.reader(io.StringIO(sweep_csv(reports), newline="")))
+    assert [row[0] for row in rows[1:]] == awkward
+    assert all(len(row) == len(SWEEP_COLUMNS) for row in rows)
+    bar = ET.fromstring(svg_bar_chart(awkward, [0.1] * 4, "a < b & c", "y > 0"))
+    line = ET.fromstring(svg_line_chart(awkward, {"<p> & q": [0.1] * 4}, "t&", "x<", "y>"))
+    texts = [[t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+             for root in (bar, line)]
+    assert set(awkward) <= set(texts[0]) and set(awkward) <= set(texts[1])
+    assert {"a < b & c", "y > 0"} <= set(texts[0])
+    assert {"<p> & q", "t&", "x<", "y>"} <= set(texts[1])
+
+
 def test_parse_sweep_csv_rejects_foreign_header():
     with pytest.raises(ValueError):
         parse_sweep_csv("label,mean\nx,1\n")
@@ -39,7 +57,7 @@ def test_parse_sweep_csv_rejects_foreign_header():
 
 def test_histogram_csv():
     stats = pvalue_stats([0.01, 0.02, 0.99])
-    text = histogram_csv(stats, HISTOGRAM_EDGES)
+    text = histogram_csv(stats)
     lines = text.splitlines()
     assert lines[0] == "bin_low,bin_high,count"
     assert len(lines) == 21
@@ -50,10 +68,10 @@ def test_histogram_csv():
 
 
 def test_outcome_json():
-    out = CrossmatchOutcome(n=5, a_obs=3, p_value=0.25, method="optimal")
+    out = CrossmatchOutcome(n=5, a_obs=3, p_value=0.25)
     doc = json.loads(outcome_json(out))
     assert doc == {"n": 5, "a_obs": 3, "p_value": 0.25, "method": "optimal"}
-    floored = CrossmatchOutcome(n=4, a_obs=0, p_value=5e-324, method="optimal", log10_p=-400.5)
+    floored = CrossmatchOutcome(n=4, a_obs=0, p_value=5e-324, log10_p=-400.5)
     assert json.loads(outcome_json(floored))["log10_p"] == -400.5
 
 
